@@ -116,6 +116,16 @@ Status DurableExecutor::Open() {
   last_recovery_ = RecoveryInfo{};
   TTRA_RETURN_IF_ERROR(env_->CreateDir(dir_));
 
+  // The mirror of ShardedExecutor::Start's wal.log refusal. A sharded
+  // directory keeps its commits in shard-<k>.wal; adopting it here would
+  // load the checkpoint alone, drop every one of them, and strand a
+  // wal.log beside the MANIFEST that the sharded executor never reads.
+  if (env_->Exists(dir_ + "/" + kShardManifestFile)) {
+    return InvalidArgumentError(
+        dir_ + " holds a sharded layout (MANIFEST); run it with "
+        "`--group-commit`/`--shards` or recover it with `ttra recover`");
+  }
+
   // A directory that already holds a compact layout is adopted even when
   // the option is off, so reopening with default options never misreads
   // (or clobbers) a compact directory.

@@ -70,6 +70,10 @@ struct DurableOptions {
   CompactOptions compact;
 };
 
+/// Marker file of the sharded layout (rollback/sharded_executor.h).
+/// DurableExecutor::Open() refuses a directory that holds one.
+inline constexpr char kShardManifestFile[] = "MANIFEST";
+
 /// One entry of a group commit: a sentence plus its submit mode.
 struct GroupEntry {
   std::vector<Command> sentence;
@@ -123,6 +127,9 @@ class DurableExecutor {
 
   /// Recovers state from `dir` (creating it on first use) and arms the
   /// log. Idempotent; also the way back to health after a fault.
+  /// kInvalidArgument, before anything is written, for a sharded
+  /// directory (a MANIFEST is present): its commits live in the shard
+  /// logs, which this executor never reads.
   Status Open();
 
   /// Durably logs and applies a sentence with the paper's sequencing

@@ -141,6 +141,26 @@ Status MidLogCorruption(const std::string& path, const WalReadResult& wal) {
 
 }  // namespace
 
+Result<SnapshotState> Session::Rollback(
+    const std::string& name, std::optional<TransactionNumber> txn) const {
+  if (txn.has_value() && *txn > epoch_) {
+    return InvalidRollbackError("transaction " + std::to_string(*txn) +
+                                " is beyond this session's epoch " +
+                                std::to_string(epoch_));
+  }
+  return snapshot_->Rollback(name, txn);
+}
+
+Result<HistoricalState> Session::RollbackHistorical(
+    const std::string& name, std::optional<TransactionNumber> txn) const {
+  if (txn.has_value() && *txn > epoch_) {
+    return InvalidRollbackError("transaction " + std::to_string(*txn) +
+                                " is beyond this session's epoch " +
+                                std::to_string(epoch_));
+  }
+  return snapshot_->RollbackHistorical(name, txn);
+}
+
 std::string ShardWalFile(size_t shard) {
   return "shard-" + std::to_string(shard) + ".wal";
 }
@@ -166,7 +186,7 @@ Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
     return CorruptionError("malformed shard count in " + dir + "/MANIFEST");
   }
   const unsigned long shards = std::stoul(number);
-  if (shards == 0 || shards > 1024) {
+  if (shards == 0 || shards > kMaxShards) {
     return CorruptionError("implausible shard count " + number + " in " +
                            dir + "/MANIFEST");
   }
@@ -272,6 +292,13 @@ Status ShardedExecutor::Start() {
                           ReadShardManifest(*env_, dir_));
     shards = manifest_shards;
   } else {
+    // Checked before the MANIFEST exists: ReadShardManifest would refuse
+    // the directory on every later Start().
+    if (shards > kMaxShards) {
+      return InvalidArgumentError(
+          std::to_string(shards) + " shards requested; at most " +
+          std::to_string(kMaxShards) + " are supported");
+    }
     const std::string text = std::string(kManifestMagic) + " " +
                              std::to_string(kManifestVersion) + "\nshards " +
                              std::to_string(shards) + "\n";
@@ -846,13 +873,16 @@ Status ShardedExecutor::RetryShardWalOp(Shard& shard,
 
 void ShardedExecutor::RefuseBatch(std::vector<Pending>& batch,
                                   const Status& reason) {
+  // Count the refusals before resolving them: a caller whose refusal has
+  // resolved must find it in stats().
+  if (reason.code() == ErrorCode::kReadOnly) {
+    MutexLock lock(commit_mutex_);
+    stat_rejected_ += batch.size();
+  }
   for (Pending& pending : batch) {
     pending.promise.set_value(reason);
   }
   MutexLock lock(commit_mutex_);
-  if (reason.code() == ErrorCode::kReadOnly) {
-    stat_rejected_ += batch.size();
-  }
   completed_ += batch.size();
   drained_.SignalAll();
 }

@@ -2,17 +2,19 @@
 #define TTRA_ROLLBACK_SHARDED_EXECUTOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "util/bounded_queue.h"
 #include "util/mutex.h"
+#include "util/vthread.h"
 
 namespace ttra {
 
@@ -29,8 +31,14 @@ namespace ttra {
 // payloads use the kinds below, disjoint from DurableExecutor's 0/1/2 so a
 // sharded record fed to DecodeWalRecord fails loudly and vice versa.
 
-inline constexpr char kShardManifestFile[] = "MANIFEST";
+// kShardManifestFile ("MANIFEST") lives in durable_executor.h, whose
+// Open() refuses a sharded directory.
 inline constexpr char kCoordinatorLogFile[] = "coordinator.log";
+
+/// Largest shard count a MANIFEST may record. Start() refuses to create a
+/// directory beyond it; ReadShardManifest treats a larger count as
+/// corruption.
+inline constexpr size_t kMaxShards = 1024;
 
 /// "shard-<k>.wal".
 std::string ShardWalFile(size_t shard);
@@ -38,7 +46,8 @@ std::string ShardWalFile(size_t shard);
 /// True iff `dir` holds a sharded layout (a MANIFEST is present).
 bool IsShardedDir(const Env& env, const std::string& dir);
 
-/// Parses dir/MANIFEST; kCorruption on malformed content.
+/// Parses dir/MANIFEST; kCorruption on malformed content or a shard count
+/// outside [1, kMaxShards].
 Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
 
 /// Home shard of a relation identifier: FNV-1a(name) % shards. Exposed so
@@ -101,12 +110,68 @@ struct ProtocolFaultsForTests {
   bool ack_out_of_order = false;
 };
 
+/// Group-commit accumulation knobs (per writer shard).
+struct GroupCommitOptions {
+  /// Most sentences committed per WAL record/sync.
+  size_t max_batch = 64;
+  /// How long the writer lingers for a partially-filled batch once at
+  /// least one sentence is queued. Zero = commit whatever is queued
+  /// immediately (lowest latency, smallest batches).
+  std::chrono::microseconds max_latency{200};
+  /// Bounded MPSC queue depth; producers block (backpressure) beyond it.
+  size_t queue_capacity = 1024;
+};
+
+/// A reader session pinned at its opening epoch N (the transaction number
+/// of the last group commit published when the session opened). The
+/// session holds a shared immutable database snapshot, so every
+/// evaluation inside it — ρ(I, n) for any n ≤ N, operator trees via
+/// lang::EvalExpr over database() — observes exactly the paper's
+/// ρ(·, N) world, no matter how far the writers advance concurrently.
+/// This is snapshot isolation derived from the semantics: E⟦·⟧ is
+/// side-effect-free, so a pinned (state, transaction-number) pair answers
+/// every expression without coordination.
+///
+/// Sessions are value types: cheap to copy (two words + a refcount) and
+/// safe to share across threads — the snapshot is immutable and FINDSTATE
+/// caching inside it is internally synchronized.
+class Session {
+ public:
+  TransactionNumber epoch() const { return epoch_; }
+
+  /// The pinned database view, e.g. for lang::EvalExpr. All relation
+  /// history up to the epoch is visible; nothing later exists here.
+  const Database& database() const { return *snapshot_; }
+
+  /// E⟦ρ(I, n)⟧ at the pinned epoch; nullopt = the session's own epoch
+  /// (the snapshot's ∞). A transaction number beyond the epoch is an
+  /// invalid-rollback error: that state may not even be committed yet,
+  /// and the session's contract is to never observe past its pin.
+  Result<SnapshotState> Rollback(
+      const std::string& name,
+      std::optional<TransactionNumber> txn = std::nullopt) const;
+
+  /// E⟦ρ̂(I, n)⟧, same epoch rules.
+  Result<HistoricalState> RollbackHistorical(
+      const std::string& name,
+      std::optional<TransactionNumber> txn = std::nullopt) const;
+
+ private:
+  friend class ShardedExecutor;
+  Session(std::shared_ptr<const Database> snapshot, TransactionNumber epoch)
+      : snapshot_(std::move(snapshot)), epoch_(epoch) {}
+
+  std::shared_ptr<const Database> snapshot_;
+  TransactionNumber epoch_ = 0;
+};
+
 struct ShardedOptions {
   DurableOptions durable;
   GroupCommitOptions group_commit;
-  /// Writer shards. A directory remembers the count it was created with
+  /// Writer shards, at most kMaxShards; one is the group-commit
+  /// configuration. A directory remembers the count it was created with
   /// (MANIFEST) and Start() adopts it; this value seeds a fresh directory.
-  size_t shards = 2;
+  size_t shards = 1;
   /// Coordinator records between opportunistic coordinator syncs (the log
   /// is advisory, so it is never synced on the ack path). Stop() and
   /// Checkpoint() always sync it.
@@ -114,13 +179,34 @@ struct ShardedOptions {
   ProtocolFaultsForTests test_faults;
 };
 
-/// Sharded multi-writer executor: the database is partitioned by relation
-/// identifier (ShardOfName) across N shards, each owning its own WAL file,
-/// writer thread, bounded MPSC queue and group-commit loop. In-memory
-/// state stays ONE immutable published database chain — the partitioning
-/// is of the durability pipeline (encode, append, fsync), which is where a
-/// single writer saturates — so reader Sessions are exactly those of
-/// ConcurrentExecutor.
+/// Multi-session group-commit executor realizing the MVCC split the
+/// paper's semantics licenses: arbitrarily many readers evaluate E⟦·⟧
+/// against immutable pinned snapshots (Session), while writers serialize
+/// C⟦·⟧ into one globally ordered transaction chain. The durability
+/// pipeline (encode, append, fsync) is partitioned by relation identifier
+/// (ShardOfName) across N shards, each owning its own WAL file, writer
+/// thread, bounded MPSC queue and group-commit loop; in-memory state stays
+/// ONE immutable published database chain. With one shard this is the
+/// single-writer group-commit front-end (`ttra run --group-commit`).
+///
+/// Semantics contract:
+///  * every committed batch is equivalent to some serial C⟦·⟧ order (the
+///    merged shard-log order, which the WALs record verbatim — the
+///    differential oracle test replays it through SerialExecutor);
+///  * a session pinned at epoch N observes exactly ρ(I, N) for every I:
+///    the rollback operator doubles as the snapshot-isolation spec;
+///  * an acknowledged sentence (future resolved OK) is durable per the
+///    sync policy and visible to every session opened afterwards
+///    (read-your-writes: the post-batch snapshot is published before
+///    futures resolve).
+///
+/// Degraded mode: once a permanent write failure happens, every queued
+/// and new sentence fails fast with kReadOnly while existing and new
+/// reader sessions keep serving the last published epoch. The way out is
+/// Stop() + Start() (re-recovery from disk) after the fault is repaired.
+///
+/// Lifecycle — Start(), submit/read from any threads, Stop() — must be
+/// driven from one owning thread; everything between is thread-safe.
 ///
 /// Commit protocol (per batch, on its home shard's writer thread):
 ///  1. prepare: append the payload to the shard's own WAL under a
@@ -148,10 +234,6 @@ struct ShardedOptions {
 /// in-doubt batches (prepare without commit, or beyond the first gap) are
 /// provably unacknowledged and are dropped. The coordinator log is
 /// cross-checked where present but never required.
-///
-/// Semantics contract, degraded mode and lifecycle are those of
-/// ConcurrentExecutor (one owning thread drives Start/Stop; everything
-/// between is thread-safe).
 class ShardedExecutor {
  public:
   /// `env` must outlive the executor. Call Start() before submitting.
@@ -163,18 +245,21 @@ class ShardedExecutor {
 
   /// Recovers the merged durable state, publishes the initial snapshot and
   /// starts one writer thread per shard. Call again only after Stop().
+  /// kInvalidArgument, before any MANIFEST is written, for a fresh
+  /// directory asked to hold more than kMaxShards shards or for a
+  /// single-writer directory (wal.log without a MANIFEST).
   Status Start();
 
   /// Closes every queue, commits everything enqueued, joins the writers
   /// and syncs the coordinator log. Safe to call twice.
   void Stop();
 
-  /// Routes the sentence to its home shard's queue. Future semantics are
-  /// ConcurrentExecutor's: resolves with the committed transaction number
-  /// once the batch is durable per the sync policy AND the durability
-  /// watermark has passed it; command-level errors per submit mode;
-  /// kUnavailable when stopped or failed-stop. Blocks only on a full
-  /// home-shard queue (backpressure).
+  /// Routes the sentence to its home shard's queue. The future resolves
+  /// with the committed transaction number once the batch is durable per
+  /// the sync policy AND the durability watermark has passed it; with the
+  /// command-level error (paper sequencing: partial effects stand, atomic:
+  /// no effect); with kReadOnly in degraded mode; or with kUnavailable
+  /// when stopped. Blocks only on a full home-shard queue (backpressure).
   std::future<Result<TransactionNumber>> SubmitAsync(
       std::vector<Command> sentence, bool atomic = false);
 
@@ -186,8 +271,8 @@ class ShardedExecutor {
   /// committed (or refused) across all shards.
   Status Drain();
 
-  /// Opens a reader session pinned at the current published epoch (shared
-  /// with ConcurrentExecutor — sessions are executor-agnostic).
+  /// Opens a reader session pinned at the current published epoch. O(1):
+  /// shares the immutable post-batch snapshot, no copying.
   Session OpenSession() const;
 
   /// Epoch of the last published (durable, watermark-passed) commit.

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
@@ -21,10 +21,10 @@ namespace ttra {
 namespace {
 
 // Differential concurrency oracle. Many producer threads push random
-// sentences through an executor (group commit enabled) while many reader
-// threads sample pinned sessions. Afterwards the write-ahead log(s) —
-// which record the committed order verbatim — are read back and replayed
-// through a plain SerialExecutor. The contract under test:
+// sentences through the sharded group-commit executor while many reader
+// threads sample pinned sessions. Afterwards the shard write-ahead logs —
+// which record the committed order verbatim — are read back, merged and
+// replayed through a plain SerialExecutor. The contract under test:
 //
 //  1. the concurrent final database equals the serial replay of the
 //     committed order (every batch is equivalent to some serial C⟦·⟧
@@ -32,13 +32,13 @@ namespace {
 //  2. every view a session observed at epoch N equals ρ(I, N) evaluated
 //     against the replayed database (epoch pinning = the rollback
 //     operator as snapshot-isolation spec);
-//  3. the logged transaction numbers chain gap-free: for the single
-//     writer each sentence's pre_txn equals the replay's transaction
-//     number when it is reached; for the sharded executor each committed
+//  3. the logged transaction numbers chain gap-free: each committed
 //     batch's base equals the replay's transaction number — ONE total
 //     order merged from N shard WALs, byte-equal to serial execution.
 //
-// Both suites run as 10 fixed ctest shards that together sweep
+// The single-shard leg (the `ttra run --group-commit` configuration) and
+// the multi-shard legs are separate suites over the same seeds. Each runs
+// as 10 fixed ctest shards that together sweep
 // TTRA_ORACLE_SEEDS seeds (read at RUN time; default 50 — tools/check.sh
 // --stress raises it). Designed to run under TSan: fixed iteration
 // counts, no sleeps, all waiting via futures/Drain.
@@ -88,8 +88,7 @@ std::string EncodeState(const HistoricalState& state) {
 
 /// Fixed catalog: three rollback relations plus one temporal, seeded
 /// synchronously so every reader view is over a defined relation.
-template <typename Executor>
-void SeedCatalog(Executor& exec, workload::Generator& setup,
+void SeedCatalog(ShardedExecutor& exec, workload::Generator& setup,
                  std::vector<Relation>& catalog) {
   for (int i = 0; i < 3; ++i) {
     catalog.push_back(Relation{"r" + std::to_string(i),
@@ -114,10 +113,8 @@ void SeedCatalog(Executor& exec, workload::Generator& setup,
 
 /// Producers push random sentences (mixing plain/atomic submits,
 /// successful updates, and deliberate failures) while readers sample
-/// pinned sessions concurrently. Works against any executor exposing the
-/// SubmitAsync/OpenSession surface (ConcurrentExecutor, ShardedExecutor).
-template <typename Executor>
-void DriveWorkload(Executor& exec, uint64_t seed,
+/// pinned sessions concurrently.
+void DriveWorkload(ShardedExecutor& exec, uint64_t seed,
                    const workload::GeneratorOptions& gen_options,
                    const std::vector<Relation>& catalog,
                    std::vector<std::vector<View>>& observed,
@@ -257,113 +254,6 @@ void VerifyViews(const Database& replay_db,
     }
   }
 }
-
-void RunOracleSeed(uint64_t seed) {
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-
-  InMemoryEnv env;
-  ConcurrentOptions options;
-  // Rotate storage engines and shrink the FINDSTATE cache on odd seeds so
-  // reconstruction paths (not just cached hits) serve reader sessions.
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
-  options.durable.db.storage = kinds[seed % 4];
-  options.durable.db.checkpoint_interval = 4;
-  if (seed % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
-  options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_batch = 8;
-  options.group_commit.max_latency = std::chrono::microseconds(500);
-
-  ConcurrentExecutor exec(&env, "db", options);
-  ASSERT_TRUE(exec.Start().ok());
-
-  workload::GeneratorOptions gen_options;
-  gen_options.value_range = 10;  // small domain → frequent equal states
-  workload::Generator setup(seed, gen_options);
-  std::vector<Relation> catalog;
-  SeedCatalog(exec, setup, catalog);
-  if (::testing::Test::HasFatalFailure()) return;
-
-  std::vector<std::vector<View>> observed(kReaders);
-  std::atomic<uint64_t> acked_ok{0};
-  std::atomic<uint64_t> acked_err{0};
-  DriveWorkload(exec, seed, gen_options, catalog, observed, acked_ok,
-                acked_err);
-  ASSERT_TRUE(exec.Drain().ok());
-  ASSERT_TRUE(exec.healthy());
-
-  const uint64_t total_submitted =
-      static_cast<uint64_t>(2 * catalog.size()) +
-      static_cast<uint64_t>(kProducers) * kSentencesPerProducer;
-  EXPECT_EQ(acked_ok.load() + acked_err.load(),
-            static_cast<uint64_t>(kProducers) * kSentencesPerProducer);
-
-  ConcurrentExecutor::Stats stats = exec.stats();
-  EXPECT_EQ(stats.commits, total_submitted);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_LE(stats.batches, stats.commits);
-  // Group commit's whole point: one record and one fsync per batch.
-  EXPECT_EQ(stats.wal.records, stats.batches);
-  EXPECT_EQ(stats.wal.syncs, stats.batches);
-
-  const Database final_db = exec.Snapshot();
-  exec.Stop();
-
-  // Read the committed order back from the log and replay it serially.
-  Result<WalReadResult> wal = ReadWal(env, "db/wal.log");
-  ASSERT_TRUE(wal.ok()) << wal.status();
-  ASSERT_FALSE(wal->torn_tail);
-
-  SerialExecutor serial(options.durable.db);
-  uint64_t replayed = 0;
-  for (const std::string& record : wal->records) {
-    Result<std::vector<LoggedSentence>> sentences = DecodeWalRecord(record);
-    ASSERT_TRUE(sentences.ok()) << sentences.status();
-    for (const LoggedSentence& logged : *sentences) {
-      // Contract 3: the log IS a serial history — pre-commit transaction
-      // numbers chain exactly through the replay.
-      ASSERT_EQ(logged.pre_txn, serial.transaction_number());
-      if (logged.atomic) {
-        (void)serial.SubmitAtomic([&](Database& db) {
-          return ApplySentence(db, logged.sentence);
-        });
-      } else {
-        (void)serial.Submit([&](Database& db) {
-          return ApplySentence(db, logged.sentence);
-        });
-      }
-      ++replayed;
-    }
-  }
-  EXPECT_EQ(replayed, total_submitted);
-
-  // Contract 1: identical final databases (logical encoding is
-  // engine-independent, so this also holds across storage kinds).
-  const Database replay_db = serial.Snapshot();
-  EXPECT_EQ(replay_db.transaction_number(), final_db.transaction_number());
-  ASSERT_EQ(EncodeDatabase(replay_db), EncodeDatabase(final_db));
-
-  VerifyViews(replay_db, catalog, observed);
-}
-
-class ConcurrentOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ConcurrentOracleTest, MatchesSerialReplayOfCommittedOrder) {
-  const int shard = GetParam();
-  const int total = OracleSeedCount();
-  for (int seed = shard; seed < total; seed += kOracleShards) {
-    RunOracleSeed(static_cast<uint64_t>(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentOracleTest,
-                         ::testing::Range(0, kOracleShards));
-
-// ---------------------------------------------------------------------------
-// Sharded oracle: N writer shards, one merged total order
-// ---------------------------------------------------------------------------
 
 /// One committed batch reconstructed from a shard WAL: the prepare record
 /// carries the payload, the commit record the global position.
@@ -563,17 +453,31 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
   VerifyViews(replay_db, catalog, observed);
 }
 
-class ShardedOracleTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardedOracleTest, MergedOrderMatchesSerialReplay) {
-  const int shard = GetParam();
+/// Sweeps this ctest shard's seeds at every writer-shard count given.
+void RunOracleShard(int shard, std::initializer_list<size_t> shard_counts) {
   const int total = OracleSeedCount();
   for (int seed = shard; seed < total; seed += kOracleShards) {
-    for (const size_t nshards : {1u, 2u, 4u}) {
+    for (const size_t nshards : shard_counts) {
       RunShardedOracleSeed(static_cast<uint64_t>(seed), nshards);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// One writer shard: the single-writer group-commit configuration.
+class ConcurrentOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ConcurrentOracleTest, MatchesSerialReplayOfCommittedOrder) {
+  RunOracleShard(GetParam(), {1});
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentOracleTest,
+                         ::testing::Range(0, kOracleShards));
+
+class ShardedOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardedOracleTest, MergedOrderMatchesSerialReplay) {
+  RunOracleShard(GetParam(), {2, 4});
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedOracleTest,

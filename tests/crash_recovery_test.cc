@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <thread>
 
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
+#include "rollback/sharded_executor.h"
 #include "storage/env.h"
 
 namespace ttra {
@@ -412,8 +413,8 @@ TEST(RetryTest, ResourceExhaustionIsNotRetried) {
 
 TEST(DegradedModeTest, ReadersKeepServingWhileWritesAreRefused) {
   FaultInjectionEnv env;
-  ConcurrentOptions options;
-  ConcurrentExecutor exec(&env, "d", options);
+  ShardedOptions options;
+  ShardedExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                        "emp", RelationType::kRollback, EmpSchema()}})
@@ -469,10 +470,10 @@ TEST(DegradedModeTest, QueuedSentencesAreDrainedWithReadOnly) {
   // Sentences already in flight when the writer degrades must still get
   // answers (no broken promises), with the read-only code.
   FaultInjectionEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
   options.group_commit.max_batch = 1;  // one sentence per batch: the first
                                        // fails, the rest hit degraded mode
-  ConcurrentExecutor exec(&env, "d", options);
+  ShardedExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                        "emp", RelationType::kRollback, EmpSchema()}})
@@ -716,10 +717,11 @@ TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
   }
 }
 
-// Crash under full concurrency: producers race the group-commit writer
-// when the I/O fault fires. Whatever survives on disk, recovery must
-// equal a by-hand replay of the surviving checkpoint + WAL — the same
-// differential the concurrency oracle applies to crash-free runs.
+// Crash under full concurrency: producers race the single-shard
+// group-commit writer when the I/O fault fires. Whatever survives on disk,
+// recovery must equal a by-hand replay of the surviving checkpoint + shard
+// WAL — the same differential the concurrency oracle applies to crash-free
+// runs.
 TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
   Schema schema = MakeSchema({{"n", ValueType::kInt}});
   auto state_of = [&](int64_t v, size_t n) {
@@ -730,14 +732,14 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
     return *SnapshotState::Make(schema, std::move(rows));
   };
 
+  ShardedOptions options;
+  options.group_commit.max_batch = 4;
+  options.group_commit.max_latency = std::chrono::microseconds(200);
   for (uint64_t fault_at = 1; fault_at <= 40; ++fault_at) {
     SCOPED_TRACE("fault at op " + std::to_string(fault_at));
     FaultInjectionEnv env;
-    ConcurrentOptions options;
-    options.group_commit.max_batch = 4;
-    options.group_commit.max_latency = std::chrono::microseconds(200);
     {
-      ConcurrentExecutor exec(&env, "c", options);
+      ShardedExecutor exec(&env, "c", options);
       ASSERT_TRUE(exec.Start().ok());
       ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                           "r", RelationType::kRollback, schema}})
@@ -762,40 +764,62 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
     }
     env.Crash();
 
-    // By-hand recovery oracle: checkpoint + decoded WAL suffix.
-    DurableOptions plain;
-    Database oracle_db(plain.db);
+    // By-hand recovery oracle: checkpoint, then the shard WAL's batches.
+    // A prepare counts only once its commit record is durable, and the
+    // committed batches chain by base transaction number from the
+    // checkpoint up to the first gap.
+    Database oracle_db(options.durable.db);
     if (env.Exists("c/checkpoint.db")) {
-      auto loaded = LoadDatabase("c/checkpoint.db", plain.db, &env);
+      auto loaded = LoadDatabase("c/checkpoint.db", options.durable.db, &env);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       oracle_db = *std::move(loaded);
     }
-    if (env.Exists("c/wal.log")) {
-      auto wal = ReadWal(env, "c/wal.log");
-      ASSERT_TRUE(wal.ok()) << wal.status();
-      for (const std::string& record : wal->records) {
-        auto sentences = DecodeWalRecord(record);
-        ASSERT_TRUE(sentences.ok()) << sentences.status();
-        for (const LoggedSentence& logged : *sentences) {
-          if (logged.pre_txn < oracle_db.transaction_number()) continue;
-          ASSERT_EQ(logged.pre_txn, oracle_db.transaction_number());
-          if (logged.atomic) {
-            Database scratch = oracle_db.Clone();
-            if (ApplySentence(scratch, logged.sentence).ok()) {
-              oracle_db = std::move(scratch);
-            }
-          } else {
-            // Mirrors replay: a non-atomic status was decided at commit
-            // time and is dropped here too.
-            ApplySentence(oracle_db, logged.sentence).IgnoreError();
-          }
-        }
+    const std::string wal_path = "c/" + ShardWalFile(0);
+    ASSERT_TRUE(env.Exists(wal_path));
+    auto wal = ReadWal(env, wal_path);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    std::map<uint64_t, std::vector<GroupEntry>> prepared;
+    std::vector<ShardRecord> commits;
+    for (const std::string& payload : wal->records) {
+      auto record = DecodeShardRecord(payload);
+      ASSERT_TRUE(record.ok()) << record.status();
+      if (record->kind == ShardRecordKind::kPrepare) {
+        prepared[record->seq] = std::move(record->entries);
+      } else if (record->kind == ShardRecordKind::kCommit) {
+        ASSERT_EQ(prepared.count(record->seq), 1u) << "commit before prepare";
+        commits.push_back(std::move(*record));
       }
     }
+    std::sort(commits.begin(), commits.end(),
+              [](const ShardRecord& a, const ShardRecord& b) {
+                return a.base_txn != b.base_txn ? a.base_txn < b.base_txn
+                                                : a.post_txn < b.post_txn;
+              });
+    for (const ShardRecord& commit : commits) {
+      if (commit.post_txn <= oracle_db.transaction_number()) continue;
+      if (commit.base_txn != oracle_db.transaction_number()) break;
+      for (const GroupEntry& entry : prepared[commit.seq]) {
+        if (entry.atomic) {
+          Database scratch = oracle_db.Clone();
+          if (ApplySentence(scratch, entry.sentence).ok()) {
+            oracle_db = std::move(scratch);
+          }
+        } else {
+          // Mirrors replay: a non-atomic status was decided at commit
+          // time and is dropped here too.
+          ApplySentence(oracle_db, entry.sentence).IgnoreError();
+        }
+      }
+      ASSERT_EQ(oracle_db.transaction_number(), commit.post_txn);
+    }
+    // The fault is armed only after the define was acknowledged, so an
+    // empty oracle would mean the by-hand replay read nothing at all.
+    ASSERT_NE(oracle_db.Find("r"), nullptr);
 
-    DurableExecutor recovered(&env, "c", DurableOptions{});
-    ASSERT_TRUE(recovered.Open().ok());
+    ShardedExecutor recovered(&env, "c", options);
+    ASSERT_TRUE(recovered.Start().ok());
     EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), EncodeDatabase(oracle_db));
+    recovered.Stop();
   }
 }
 

@@ -106,6 +106,18 @@ TEST(ShardLayoutTest, ManifestShardCountIsAuthoritativeOnReopen) {
   exec.Stop();
 }
 
+TEST(ShardLayoutTest, RefusesMoreShardsThanTheManifestAllows) {
+  // ReadShardManifest rejects a count beyond kMaxShards as corruption, so
+  // Start() must refuse it before the MANIFEST is ever written.
+  InMemoryEnv env;
+  ShardedExecutor exec(&env, "db", FastOptions(kMaxShards + 1));
+  const Status status = exec.Start();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(IsShardedDir(env, "db"));
+  EXPECT_FALSE(env.Exists("db/" + ShardWalFile(0)));
+}
+
 TEST(ShardLayoutTest, RefusesSingleWriterDirectory) {
   InMemoryEnv env;
   {
@@ -124,6 +136,36 @@ TEST(ShardLayoutTest, RefusesSingleWriterDirectory) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(status.message().find("wal.log"), std::string::npos);
+  EXPECT_NE(status.message().find("ttra recover"), std::string::npos);
+}
+
+TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
+  InMemoryEnv env;
+  {
+    // A one-shard (group-commit) directory whose only commit lives in
+    // shard-0.wal.
+    ShardedExecutor exec(&env, "db", FastOptions(1));
+    ASSERT_TRUE(exec.Start().ok());
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    exec.Stop();
+  }
+  // The single-writer executor must refuse rather than load the
+  // checkpoint alone (dropping the commit) and start a wal.log that the
+  // sharded executor would in turn ignore.
+  DurableExecutor single(&env, "db", DurableOptions{});
+  const Status status = single.Open();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("MANIFEST"), std::string::npos);
+  EXPECT_NE(status.message().find("ttra recover"), std::string::npos);
+  EXPECT_FALSE(env.Exists("db/wal.log"));
+
+  ShardedExecutor reopened(&env, "db", FastOptions(1));
+  ASSERT_TRUE(reopened.Start().ok());
+  EXPECT_NE(reopened.Snapshot().Find("emp"), nullptr);
+  reopened.Stop();
 }
 
 TEST(ShardedExecutorTest, CommitsRouteToHomeShardsAndReadersSeeOneChain) {

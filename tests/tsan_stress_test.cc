@@ -22,8 +22,8 @@
 #include "lang/evaluator.h"
 #include "lang/parser.h"
 #include "rollback/compact_store.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/serial_executor.h"
+#include "rollback/sharded_executor.h"
 #include "snapshot/operators.h"
 #include "storage/logs.h"
 
@@ -224,23 +224,23 @@ TEST(TsanStressTest, LanguageEvalOnSharedSnapshots) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-/// The full concurrent front-end under TSan: producer threads race the
-/// group-commit writer thread through the bounded queue, readers open
-/// pinned sessions while snapshots are republished, and a checkpointer
-/// competes for the commit lock. All waiting is condvar/future-based
+/// The single-shard group-commit front-end under TSan: producer threads
+/// race the writer thread through the bounded queue, readers open pinned
+/// sessions while snapshots are republished, and a checkpointer competes
+/// for the checkpoint gate. All waiting is condvar/future-based
 /// (BoundedQueue, Drain, promise futures) — no sleeps, fixed iteration
 /// counts — so the test is deterministic in coverage and cheap
 /// unsanitized.
-TEST(TsanStressTest, ConcurrentExecutorProducersReadersCheckpointer) {
+TEST(TsanStressTest, GroupCommitProducersReadersCheckpointer) {
   constexpr int kProducerThreads = 2;
   constexpr int kCommitsPerProducer = 32;
 
   InMemoryEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
   options.durable.db.findstate_cache_capacity = 4;
   options.group_commit.max_batch = 8;
   options.group_commit.max_latency = std::chrono::microseconds(100);
-  ConcurrentExecutor exec(&env, "db", options);
+  ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "r", RelationType::kRollback, StressSchema()}})
@@ -297,10 +297,10 @@ TEST(TsanStressTest, ConcurrentExecutorProducersReadersCheckpointer) {
   EXPECT_EQ(exec.transaction_number(),
             static_cast<TransactionNumber>(
                 2 + kProducerThreads * kCommitsPerProducer));
-  ConcurrentExecutor::Stats stats = exec.stats();
+  ShardedExecutor::Stats stats = exec.stats();
   EXPECT_EQ(stats.commits,
             static_cast<uint64_t>(2 + kProducerThreads * kCommitsPerProducer));
-  EXPECT_LE(stats.wal.syncs, stats.wal.records);
+  EXPECT_LE(stats.per_shard[0].wal.syncs, stats.per_shard[0].wal.records);
   exec.Stop();
 }
 
@@ -315,13 +315,13 @@ TEST(TsanStressTest, OnlineCompactionVsProducersReadersAndProbes) {
   constexpr int kCommitsPerProducer = 32;
 
   InMemoryEnv env;
-  ConcurrentOptions options;
+  ShardedOptions options;
   options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
   options.durable.checkpoint_every = 8;
   options.group_commit.max_batch = 8;
   options.group_commit.max_latency = std::chrono::microseconds(100);
-  ConcurrentExecutor exec(&env, "db", options);
+  ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
                       "r", RelationType::kRollback, StressSchema()}})

@@ -138,7 +138,6 @@ if [ "$do_tidy" -eq 1 ]; then
     # find-pattern edit ever drops one, fail here instead of silently
     # shrinking the gate.
     for required in \
-        src/rollback/concurrent_executor.cc \
         src/rollback/sharded_executor.cc \
         src/rollback/durable_executor.cc \
         src/rollback/serial_executor.cc \
@@ -197,8 +196,9 @@ if [ "$do_compact" -eq 1 ]; then
   # Compact-storage gate: the property oracle (label `compact`) proving
   # the delta-encoded segment engine equivalent to the full-copy baseline
   # — byte-equal databases after reopen, ρ(I, N) probe equality at every
-  # epoch, FINDSTATE-cache-on/off agreement — across Serial, Durable,
-  # Concurrent and Sharded executors, plus legacy-directory migration.
+  # epoch, FINDSTATE-cache-on/off agreement — across the Serial and
+  # Durable executors and the Sharded executor at 1 and 3 shards, plus
+  # legacy-directory migration.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-100}" \
   run_pass build compact
 fi

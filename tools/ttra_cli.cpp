@@ -42,19 +42,22 @@
 // `ttra fsck --help`): 0 clean, 1 torn-tail/repaired, 3 needs-repair,
 // 4 unrecoverable, 2 usage.
 //
-// With --group-commit (or --sessions), `run` goes through the concurrent
-// executor instead: updates are enqueued to the writer thread and
-// group-committed — one WAL record and one fsync per batch of up to
+// With --group-commit (or --sessions, --batch, --shards), `run` goes
+// through the group-commit executor instead: updates are enqueued to the
+// writer thread and group-committed — one fsync per batch of up to
 // --batch statements — while show statements drain the pipeline and are
 // evaluated on --sessions concurrent reader sessions pinned at the same
 // epoch, which must all agree. Requires --wal-dir.
 //
-// With --shards N, `run` partitions the durability pipeline across N
-// WAL+writer shards (relations are routed to their home shard by name
-// hash; cross-shard sentences two-phase through durable prepare markers)
-// while keeping one globally ordered transaction chain. The directory
-// remembers its shard count (MANIFEST); `recover` and `fsck` detect the
-// sharded layout automatically.
+// --shards N (default 1, at most 1024) partitions the durability pipeline
+// across N WAL+writer shards (relations are routed to their home shard by
+// name hash; cross-shard sentences two-phase through durable prepare
+// markers) while keeping one globally ordered transaction chain. The
+// directory remembers its shard count (MANIFEST); `recover` and `fsck`
+// detect the sharded layout automatically. A directory holding a
+// single-writer wal.log is refused; recover it with `ttra recover` or
+// start in a fresh directory. Likewise a plain --wal-dir run refuses a
+// directory holding a MANIFEST. Malformed counts exit 2.
 //
 // With --compact-storage, durable checkpoints use the compact layout
 // (DESIGN.md §16): per-relation delta-encoded segment files chained by
@@ -75,6 +78,7 @@
 // with a deliberately broken durability watermark and the exit codes
 // invert: 0 = the bug was caught (expected), 1 = it escaped.
 
+#include <charconv>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -93,7 +97,6 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "optimizer/rewriter.h"
-#include "rollback/concurrent_executor.h"
 #include "rollback/durable_executor.h"
 #include "rollback/persistence.h"
 #include "rollback/sharded_executor.h"
@@ -172,6 +175,25 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
     }
   }
   return true;
+}
+
+/// Reads the count flag --<key> into `value`, leaving it untouched when
+/// the flag is absent. Only decimal digits are a count: a sign, trailing
+/// text or overflow makes this return false (callers exit with a usage
+/// error).
+template <typename Count>
+bool CountFlag(const Flags& flags, const std::string& key, Count& value) {
+  auto it = flags.values.find(key);
+  if (it == flags.values.end()) return true;
+  const std::string& text = it->second;
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  // All digits, so from_chars consumes the whole text unless it overflows
+  // (and then leaves `value` untouched).
+  return std::from_chars(text.data(), text.data() + text.size(), value).ec ==
+         std::errc();
 }
 
 Result<Database> LoadOrEmpty(const Flags& flags) {
@@ -266,14 +288,14 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
     // Shard count from the manifest when readable. A reset must also work
     // when the manifest is itself the corrupt part, so on a read failure
     // fall back to probing the contiguous shard numbering (bounded by the
-    // manifest's own 4096-shard plausibility cap) instead of silently
-    // leaving shard WALs behind to confuse the next recovery.
+    // manifest's own kMaxShards cap) instead of silently leaving shard
+    // WALs behind to confuse the next recovery.
     uint32_t shard_count = 0;
     Result<uint32_t> shards = ReadShardManifest(*env, wal_dir);
     if (shards.ok()) {
       shard_count = *shards;
     } else {
-      for (uint32_t k = 0; k < 4096; ++k) {
+      for (uint32_t k = 0; k < kMaxShards; ++k) {
         if (!env->Exists(wal_dir + "/" + ShardWalFile(k)) &&
             !env->Exists(wal_dir + "/" + ShardWalFile(k) + ".quarantine")) {
           break;
@@ -329,11 +351,9 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
   return Status::Ok();
 }
 
-/// The statement loop of `run --group-commit`/`run --shards`, shared by
-/// the single-writer ConcurrentExecutor and the ShardedExecutor (their
-/// submit/session surfaces mirror each other). Returns 0 on success.
-template <typename Executor>
-int RunProgramConcurrently(Executor& exec,
+/// The statement loop of `run --group-commit`/`run --shards`. Returns 0 on
+/// success.
+int RunProgramConcurrently(ShardedExecutor& exec,
                            const std::vector<lang::Stmt>& program,
                            const Flags& flags, size_t sessions) {
   // Statements in flight: resolved whenever the pipeline drains, so a
@@ -440,9 +460,9 @@ int RunProgramConcurrently(Executor& exec,
 }
 
 /// `run --wal-dir --group-commit` / `run --wal-dir --shards N`: the script
-/// executes through the ConcurrentExecutor (one writer thread,
-/// group-committed batches) or, with --shards, the ShardedExecutor (one
-/// WAL + writer per shard, order-preserving cross-shard group commit).
+/// executes through the ShardedExecutor — one WAL + writer per shard
+/// (one shard unless --shards says otherwise), group-committed batches,
+/// order-preserving cross-shard commit.
 /// Update statements are enqueued asynchronously; only statements that
 /// must evaluate against current state — a show, or a modify_state whose
 /// expression is not a constant — drain the pipeline first. Show
@@ -462,34 +482,20 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
   }
 
   size_t sessions = 1;
-  if (auto it = flags.values.find("sessions"); it != flags.values.end()) {
-    try {
-      sessions = std::stoull(it->second);
-    } catch (const std::exception&) {
-      sessions = 0;
-    }
-    if (sessions == 0) return Fail("--sessions expects a positive count");
+  if (!CountFlag(flags, "sessions", sessions) || sessions == 0) {
+    return UsageError("--sessions expects a positive count");
   }
-  GroupCommitOptions group_commit;
-  if (auto it = flags.values.find("batch"); it != flags.values.end()) {
-    try {
-      group_commit.max_batch = std::stoull(it->second);
-    } catch (const std::exception&) {
-      group_commit.max_batch = 0;
-    }
-    if (group_commit.max_batch == 0) {
-      return Fail("--batch expects a positive batch size");
-    }
+  ShardedOptions options;
+  if (!CountFlag(flags, "batch", options.group_commit.max_batch) ||
+      options.group_commit.max_batch == 0) {
+    return UsageError("--batch expects a positive batch size");
   }
-  size_t shards = 0;  // 0 = single-writer ConcurrentExecutor
-  if (auto it = flags.values.find("shards"); it != flags.values.end()) {
-    try {
-      shards = std::stoull(it->second);
-    } catch (const std::exception&) {
-      shards = 0;
-    }
-    if (shards == 0) return Fail("--shards expects a positive shard count");
+  if (!CountFlag(flags, "shards", options.shards) || options.shards == 0 ||
+      options.shards > kMaxShards) {
+    return UsageError("--shards expects a shard count from 1 to " +
+                      std::to_string(kMaxShards));
   }
+  options.durable.compact_storage = flags.compact_storage;
 
   Env* env = Env::Default();
   if (flags.fresh) {
@@ -497,38 +503,9 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
     if (!reset.ok()) return Fail("cannot reset state: " + reset.ToString());
   }
 
-  if (shards > 0) {
-    ShardedOptions options;
-    options.group_commit = group_commit;
-    options.shards = shards;
-    options.durable.compact_storage = flags.compact_storage;
-    ShardedExecutor exec(env, wal_dir, options);
-    Status started = exec.Start();
-    if (!started.ok()) return Fail("recovery failed: " + started.ToString());
-    if (flags.recover) {
-      ReportRecovery(exec.transaction_number(), exec.last_recovery());
-    }
-    if (int rc = RunProgramConcurrently(exec, *program, flags, sessions);
-        rc != 0) {
-      return rc;
-    }
-    const ShardedExecutor::Stats stats = exec.stats();
-    exec.Stop();
-    std::cout << "ok (transaction " << exec.transaction_number() << ")\n";
-    uint64_t syncs = 0;
-    for (const auto& shard : stats.per_shard) syncs += shard.wal.syncs;
-    std::cout << "group commit: " << stats.commits << " commit(s) in "
-              << stats.batches << " batch(es) across " << exec.shards()
-              << " shard(s), largest " << stats.max_batch << ", "
-              << stats.cross_shard_batches << " cross-shard, " << syncs
-              << " fsync(s)\n";
-    return SaveIfRequested(exec.Snapshot(), flags);
-  }
-
-  ConcurrentOptions options;
-  options.group_commit = group_commit;
-  options.durable.compact_storage = flags.compact_storage;
-  ConcurrentExecutor exec(env, wal_dir, options);
+  // Start() refuses a directory holding a single-writer wal.log and names
+  // `ttra recover` in its message.
+  ShardedExecutor exec(env, wal_dir, options);
   Status started = exec.Start();
   if (!started.ok()) return Fail("recovery failed: " + started.ToString());
   if (flags.recover) {
@@ -538,12 +515,16 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
       rc != 0) {
     return rc;
   }
-  const ConcurrentExecutor::Stats stats = exec.stats();
+  const ShardedExecutor::Stats stats = exec.stats();
   exec.Stop();
   std::cout << "ok (transaction " << exec.transaction_number() << ")\n";
+  uint64_t syncs = 0;
+  for (const auto& shard : stats.per_shard) syncs += shard.wal.syncs;
   std::cout << "group commit: " << stats.commits << " commit(s) in "
-            << stats.batches << " batch(es), largest " << stats.max_batch
-            << ", " << stats.wal.syncs << " fsync(s)\n";
+            << stats.batches << " batch(es) across " << exec.shards()
+            << " shard(s), largest " << stats.max_batch << ", "
+            << stats.cross_shard_batches << " cross-shard, " << syncs
+            << " fsync(s)\n";
   return SaveIfRequested(exec.Snapshot(), flags);
 }
 
@@ -761,8 +742,6 @@ int CmdVacuum(const Flags& flags) {
   if (auto dir = flags.values.find("wal-dir"); dir != flags.values.end()) {
     return CmdVacuumOnline(flags, dir->second);
   }
-  auto db = LoadOrEmpty(flags);
-  if (!db.ok()) return Fail("load failed: " + db.status().ToString());
   auto relation = flags.values.find("relation");
   auto before = flags.values.find("before");
   if (relation == flags.values.end() || before == flags.values.end()) {
@@ -771,11 +750,11 @@ int CmdVacuum(const Flags& flags) {
         "[--archive f] [--save f]  |  ttra vacuum --wal-dir d");
   }
   TransactionNumber cutoff = 0;
-  try {
-    cutoff = std::stoull(before->second);
-  } catch (const std::exception&) {
-    return Fail("--before expects a transaction number");
+  if (!CountFlag(flags, "before", cutoff)) {
+    return UsageError("--before expects a transaction number");
   }
+  auto db = LoadOrEmpty(flags);
+  if (!db.ok()) return Fail("load failed: " + db.status().ToString());
   auto result = VacuumRelation(*db, relation->second, cutoff);
   if (!result.ok()) return Fail(result.status().ToString());
   std::cout << "archived " << result->archived_states << " state(s), "
@@ -932,23 +911,14 @@ int CmdRecover(const Flags& flags) {
 
 // --- modelcheck ------------------------------------------------------------
 
-uint64_t FlagU64(const Flags& flags, const std::string& key,
-                 uint64_t fallback) {
-  auto it = flags.values.find(key);
-  if (it == flags.values.end()) return fallback;
-  return static_cast<uint64_t>(std::stoull(it->second));
-}
-
-modelcheck::ExploreOptions ModelcheckOptions(const Flags& flags) {
-  modelcheck::ExploreOptions options;
-  options.preemption_bound =
-      static_cast<int>(FlagU64(flags, "preemptions", 2));
-  options.max_schedules = FlagU64(flags, "max-schedules", 0);
-  options.max_steps_per_run = FlagU64(flags, "max-steps", 200000);
-  return options;
-}
-
 int CmdModelcheck(const Flags& flags) {
+  modelcheck::ExploreOptions options;
+  if (!CountFlag(flags, "preemptions", options.preemption_bound) ||
+      !CountFlag(flags, "max-schedules", options.max_schedules) ||
+      !CountFlag(flags, "max-steps", options.max_steps_per_run)) {
+    return UsageError(
+        "--preemptions/--max-schedules/--max-steps expect a count");
+  }
   auto scenario_it = flags.values.find("scenario");
   const std::string which =
       scenario_it == flags.values.end() ? "all" : scenario_it->second;
@@ -968,7 +938,7 @@ int CmdModelcheck(const Flags& flags) {
                         replay_it->second);
     }
     modelcheck::ReplayResult replay = modelcheck::Replay(
-        scenario.run, decisions, FlagU64(flags, "max-steps", 200000));
+        scenario.run, decisions, options.max_steps_per_run);
     std::cout << modelcheck::RenderTrace(replay.run);
     if (replay.failed) {
       std::cout << "replay violates: "
@@ -980,8 +950,6 @@ int CmdModelcheck(const Flags& flags) {
     std::cout << "replay clean (" << replay.run.steps << " steps)\n";
     return 0;
   }
-
-  const modelcheck::ExploreOptions options = ModelcheckOptions(flags);
 
   // --seeded-bug: the sharded scenario with a deliberately broken
   // durability watermark; success means the explorer CAUGHT it.
