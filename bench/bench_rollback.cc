@@ -128,5 +128,43 @@ void BM_RollbackCheckpointInterval(benchmark::State& state) {
 }
 BENCHMARK(BM_RollbackCheckpointInterval)->RangeMultiplier(4)->Range(1, 256);
 
+// --- Database::Clone() under structural sharing ---------------------------
+//
+// A clone copies one handle per relation and shares every log entry, so
+// its cost is flat in the history length. The relation a command then
+// changes is copied once: its log's entry pointers, never rows
+// (BM_DatabaseCloneAndModify, which grows with the history).
+
+void DatabaseCloneArgs(benchmark::internal::Benchmark* bench) {
+  bench->ArgsProduct({{0, 1, 2, 3}, {64, 1024, 8192}})
+      ->ArgNames({"storage", "history"});
+}
+
+void BM_DatabaseClone(benchmark::State& state) {
+  const StorageKind kind = static_cast<StorageKind>(state.range(0));
+  const Database db = BuildDatabase(kind, static_cast<size_t>(state.range(1)),
+                                    16);
+  for (auto _ : state) {
+    Database copy = db.Clone();
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetLabel(std::string(StorageKindName(kind)));
+}
+BENCHMARK(BM_DatabaseClone)->Apply(DatabaseCloneArgs);
+
+void BM_DatabaseCloneAndModify(benchmark::State& state) {
+  const StorageKind kind = static_cast<StorageKind>(state.range(0));
+  const Database db = BuildDatabase(kind, static_cast<size_t>(state.range(1)),
+                                    16);
+  const SnapshotState next = *db.Rollback("r", 2);
+  for (auto _ : state) {
+    Database copy = db.Clone();
+    (void)copy.ModifyState("r", next);
+    benchmark::DoNotOptimize(copy);
+  }
+  state.SetLabel(std::string(StorageKindName(kind)));
+}
+BENCHMARK(BM_DatabaseCloneAndModify)->Apply(DatabaseCloneArgs);
+
 }  // namespace
 }  // namespace ttra

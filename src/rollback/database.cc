@@ -25,7 +25,7 @@ Status Database::ModifyState(const std::string& name,
     return UnknownIdentifierError("modify_state of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetState(state, txn_ + 1));
+  TTRA_RETURN_IF_ERROR(it->second.Mutable().SetState(state, txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -37,7 +37,7 @@ Status Database::ModifyState(const std::string& name,
     return UnknownIdentifierError("modify_state of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetState(state, txn_ + 1));
+  TTRA_RETURN_IF_ERROR(it->second.Mutable().SetState(state, txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -59,7 +59,8 @@ Status Database::ModifySchema(const std::string& name, Schema schema) {
     return UnknownIdentifierError("modify_schema of undefined relation: " +
                                   name);
   }
-  TTRA_RETURN_IF_ERROR(it->second.SetSchema(std::move(schema), txn_ + 1));
+  TTRA_RETURN_IF_ERROR(
+      it->second.Mutable().SetSchema(std::move(schema), txn_ + 1));
   ++txn_;
   return Status::Ok();
 }
@@ -102,7 +103,7 @@ Result<HistoricalState> Database::RollbackHistorical(
 
 const Relation* Database::Find(const std::string& name) const {
   auto it = relations_.find(name);
-  return it == relations_.end() ? nullptr : &it->second;
+  return it == relations_.end() ? nullptr : it->second.get();
 }
 
 std::vector<std::string> Database::RelationNames() const {
@@ -115,21 +116,19 @@ std::vector<std::string> Database::RelationNames() const {
 size_t Database::ApproxBytes() const {
   size_t total = 0;
   for (const auto& [name, relation] : relations_) {
-    total += name.size() + relation.ApproxBytes();
+    total += name.size() + relation->ApproxBytes();
   }
   return total;
 }
 
 void Database::RestoreRelation(const std::string& name, Relation relation) {
-  relations_.insert_or_assign(name, std::move(relation));
+  relations_.insert_or_assign(name, Cow<Relation>(std::move(relation)));
 }
 
 Database Database::Clone() const {
   Database copy(options_);
   copy.txn_ = txn_;
-  for (const auto& [name, relation] : relations_) {
-    copy.relations_.emplace(name, relation.Clone());
-  }
+  copy.relations_ = relations_;
   return copy;
 }
 

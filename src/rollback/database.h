@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rollback/relation.h"
+#include "util/cow.h"
 
 namespace ttra {
 
@@ -25,6 +26,12 @@ struct DatabaseOptions {
 /// in-place (the efficient realization of "returns a new database"); use
 /// Clone() where value semantics are needed.
 ///
+/// Versions share structure: Clone() copies one handle per relation, and
+/// a command copies the relation it changes only if another version still
+/// shares it (Cow::Mutable). Copying a relation copies its log's entry
+/// pointers, never rows, so a new version costs O(#relations) plus the
+/// relations it touches, whatever the length of the history.
+///
 /// Faithful to the paper: a failed command leaves the database — including
 /// its transaction number — completely unchanged, and define_relation on a
 /// bound identifier / modify_state on an unbound one are failures (the
@@ -32,6 +39,12 @@ struct DatabaseOptions {
 class Database {
  public:
   explicit Database(DatabaseOptions options = {});
+
+  // Movable; copies go through Clone().
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
+  Database(const Database&) = delete;
+  Database& operator=(const Database&) = delete;
 
   /// The paper's transaction counter n (0 in the EMPTY database).
   TransactionNumber transaction_number() const { return txn_; }
@@ -87,7 +100,8 @@ class Database {
 
   const DatabaseOptions& options() const { return options_; }
 
-  /// Deep copy.
+  /// An independent database with the same value. Relations are shared
+  /// until either side changes them, so this is O(#relations).
   Database Clone() const;
 
   // --- Restore API (persistence layer only) -------------------------------
@@ -96,7 +110,8 @@ class Database {
   // serialized — transaction numbers included. Normal code must go
   // through DefineRelation/ModifyState.
 
-  /// Installs a fully-built relation under `name`, replacing any binding.
+  /// Installs a fully-built relation under `name`, replacing any binding
+  /// (the new relation is this database's alone).
   void RestoreRelation(const std::string& name, Relation relation);
 
   /// Forces the database's transaction counter.
@@ -105,7 +120,7 @@ class Database {
  private:
   DatabaseOptions options_;
   TransactionNumber txn_ = 0;
-  std::map<std::string, Relation> relations_;
+  std::map<std::string, Cow<Relation>> relations_;
 };
 
 }  // namespace ttra

@@ -92,7 +92,9 @@ class Relation {
   size_t ApproxBytes() const;
   StorageKind storage_kind() const { return storage_; }
 
-  /// Deep copy (value semantics for Database::Clone).
+  /// An independent copy: the scheme history and the log's entry handles
+  /// are copied, the entries themselves are immutable and shared (the
+  /// copy-on-write step of Database; see util/cow.h).
   Relation Clone() const;
 
  private:

@@ -109,7 +109,9 @@ std::string EncodeCoordCommit(uint64_t shard, uint64_t seq,
 
 /// Deterministic re-execution of one batch entry, mirroring the live
 /// apply (paper sequencing vs all-or-nothing) — shared by the commit path
-/// and recovery so they cannot diverge.
+/// and recovery so they cannot diverge. An atomic entry runs on a clone
+/// (O(#relations)) and copies each relation it touches once more, since
+/// `db` still shares them with the clone.
 void ApplyEntry(Database& db, const GroupEntry& entry,
                 Result<TransactionNumber>* result) {
   Status applied;
@@ -1046,7 +1048,10 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   // Phase 2 — order: transaction numbers are data-dependent (a failed
   // command consumes none), so positions cannot be pre-reserved; the
   // global section is exactly the apply + coordinator append, nothing
-  // else. One full clone per batch (the single-writer path pays two).
+  // else. The batch applies to a clone of the tip that shares every
+  // relation with it; a relation is copied on the batch's first write to
+  // it (entry pointers, never rows), so the section costs what the batch
+  // touches, not the length of the history.
   uint64_t commit_index = 0;
   TransactionNumber base = 0;
   TransactionNumber post = 0;

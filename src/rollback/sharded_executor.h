@@ -278,7 +278,8 @@ class ShardedExecutor {
   /// Epoch of the last published (durable, watermark-passed) commit.
   TransactionNumber transaction_number() const;
 
-  /// Consistent deep copy of the published snapshot.
+  /// Consistent copy of the published snapshot (Database::Clone: shares
+  /// every relation until one side changes it).
   Database Snapshot() const;
 
   /// Quiesces in-flight batches (checkpoint gate), saves one global

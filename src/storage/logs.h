@@ -168,6 +168,45 @@ class FullCopyLog final : public StateLog<StateT> {
       entries_;
 };
 
+/// rows := (rows − removed) ∪ added; all three are canonical (sorted,
+/// duplicate-free) row vectors. The replay step of every differential
+/// engine.
+template <typename Row>
+void ApplyRowDelta(const std::vector<Row>& added,
+                   const std::vector<Row>& removed, std::vector<Row>& rows) {
+  if (!removed.empty()) {
+    std::vector<Row> kept;
+    kept.reserve(rows.size());
+    std::set_difference(rows.begin(), rows.end(), removed.begin(),
+                        removed.end(), std::back_inserter(kept));
+    rows = std::move(kept);
+  }
+  if (!added.empty()) {
+    std::vector<Row> merged;
+    merged.reserve(rows.size() + added.size());
+    std::merge(rows.begin(), rows.end(), added.begin(), added.end(),
+               std::back_inserter(merged));
+    rows = std::move(merged);
+  }
+}
+
+/// The inverse of ApplyRowDelta: fills `added`/`removed` with the rows
+/// that take canonical `from` to canonical `to`.
+template <typename Row>
+void DiffRows(const std::vector<Row>& from, const std::vector<Row>& to,
+              std::vector<Row>& added, std::vector<Row>& removed) {
+  std::set_difference(to.begin(), to.end(), from.begin(), from.end(),
+                      std::back_inserter(added));
+  std::set_difference(from.begin(), from.end(), to.begin(), to.end(),
+                      std::back_inserter(removed));
+}
+
+// Sharing rule of the differential engines below: an appended entry's
+// rows live in an immutable node behind a shared_ptr, so a copy of the log
+// (Clone, and so a copy-on-write Relation) copies one pointer per entry
+// and never a row. Nothing mutates a node after Append publishes it;
+// ReplaceLast drops the log's pointers instead of editing the nodes.
+
 /// Differential ("backlog") engine: each entry stores the rows added and
 /// removed relative to the previous state. FINDSTATE replays from the
 /// nearest cached reconstruction (or the start); the tail state is kept
@@ -184,25 +223,20 @@ class DeltaLog final : public StateLog<StateT> {
     if (!entries_.empty() && txn <= entries_.back().txn) {
       return InternalError("non-increasing transaction number in Append");
     }
-    Entry entry;
-    entry.txn = txn;
-    entry.schema = state.schema();
+    auto delta = std::make_shared<Delta>();
+    delta->schema = state.schema();
     const std::vector<Row>& new_rows = StateTraits<StateT>::Rows(state);
-    if (!entries_.empty() && entries_.back().schema != state.schema()) {
+    if (tail_state_ != nullptr && tail_state_->schema() != state.schema()) {
       // Scheme change: rebase with a full snapshot of the new rows.
-      entry.removed = StateTraits<StateT>::Rows(*tail_state_);
-      entry.added = new_rows;
+      delta->removed = StateTraits<StateT>::Rows(*tail_state_);
+      delta->added = new_rows;
     } else {
       const std::vector<Row> no_rows;
-      const std::vector<Row>& old_rows =
-          tail_state_ ? StateTraits<StateT>::Rows(*tail_state_) : no_rows;
-      std::set_difference(new_rows.begin(), new_rows.end(), old_rows.begin(),
-                          old_rows.end(), std::back_inserter(entry.added));
-      std::set_difference(old_rows.begin(), old_rows.end(), new_rows.begin(),
-                          new_rows.end(), std::back_inserter(entry.removed));
+      DiffRows(tail_state_ ? StateTraits<StateT>::Rows(*tail_state_) : no_rows,
+               new_rows, delta->added, delta->removed);
     }
     tail_state_ = std::make_shared<const StateT>(state);
-    entries_.push_back(std::move(entry));
+    entries_.push_back(Entry{txn, std::move(delta)});
     cache_.Clear();
     return Status::Ok();
   }
@@ -231,9 +265,12 @@ class DeltaLog final : public StateLog<StateT> {
       start = seed->first + 1;
       rows = StateTraits<StateT>::Rows(*seed->second);
     }
-    for (size_t i = start; i <= last; ++i) ApplyEntry(entries_[i], rows);
-    auto state = std::make_shared<const StateT>(
-        StateTraits<StateT>::FromRows(entries_[last].schema, std::move(rows)));
+    for (size_t i = start; i <= last; ++i) {
+      ApplyRowDelta(entries_[i].delta->added, entries_[i].delta->removed,
+                    rows);
+    }
+    auto state = std::make_shared<const StateT>(StateTraits<StateT>::FromRows(
+        entries_[last].delta->schema, std::move(rows)));
     cache_.Put(last, state);
     return state;
   }
@@ -246,8 +283,8 @@ class DeltaLog final : public StateLog<StateT> {
     size_t total = 0;
     for (const Entry& e : entries_) {
       total += sizeof(TransactionNumber) + 32;  // entry overhead
-      for (const Row& r : e.added) total += ApproxSize(r);
-      for (const Row& r : e.removed) total += ApproxSize(r);
+      for (const Row& r : e.delta->added) total += ApproxSize(r);
+      for (const Row& r : e.delta->removed) total += ApproxSize(r);
     }
     return total;
   }
@@ -259,29 +296,15 @@ class DeltaLog final : public StateLog<StateT> {
   }
 
  private:
-  struct Entry {
-    TransactionNumber txn = 0;
-    Schema schema;
+  struct Delta {
+    Schema schema;  // of the state this entry yields
     std::vector<Row> added;
     std::vector<Row> removed;
   };
-
-  static void ApplyEntry(const Entry& entry, std::vector<Row>& rows) {
-    if (!entry.removed.empty()) {
-      std::vector<Row> kept;
-      kept.reserve(rows.size());
-      std::set_difference(rows.begin(), rows.end(), entry.removed.begin(),
-                          entry.removed.end(), std::back_inserter(kept));
-      rows = std::move(kept);
-    }
-    if (!entry.added.empty()) {
-      std::vector<Row> merged;
-      merged.reserve(rows.size() + entry.added.size());
-      std::merge(rows.begin(), rows.end(), entry.added.begin(),
-                 entry.added.end(), std::back_inserter(merged));
-      rows = std::move(merged);
-    }
-  }
+  struct Entry {
+    TransactionNumber txn = 0;
+    std::shared_ptr<const Delta> delta;
+  };
 
   std::vector<Entry> entries_;
   std::shared_ptr<const StateT> tail_state_;  // most recent state, shared
@@ -309,20 +332,20 @@ class CheckpointLog final : public StateLog<StateT> {
     }
     Entry entry;
     entry.txn = txn;
-    entry.schema = state.schema();
     auto shared = std::make_shared<const StateT>(state);
-    const bool checkpoint =
-        entries_.empty() || entries_.size() % interval_ == 0 ||
-        entries_.back().schema != state.schema();
+    // A scheme change forces a checkpoint, so every delta entry has the
+    // scheme of the checkpoint that opens its run.
+    const bool checkpoint = entries_.empty() ||
+                            entries_.size() % interval_ == 0 ||
+                            tail_state_->schema() != state.schema();
     if (checkpoint) {
       entry.full = shared;
     } else {
-      const std::vector<Row>& new_rows = StateTraits<StateT>::Rows(state);
-      const std::vector<Row>& old_rows = StateTraits<StateT>::Rows(*tail_state_);
-      std::set_difference(new_rows.begin(), new_rows.end(), old_rows.begin(),
-                          old_rows.end(), std::back_inserter(entry.added));
-      std::set_difference(old_rows.begin(), old_rows.end(), new_rows.begin(),
-                          new_rows.end(), std::back_inserter(entry.removed));
+      auto delta = std::make_shared<Delta>();
+      DiffRows(StateTraits<StateT>::Rows(*tail_state_),
+               StateTraits<StateT>::Rows(state), delta->added,
+               delta->removed);
+      entry.delta = std::move(delta);
     }
     tail_state_ = std::move(shared);
     entries_.push_back(std::move(entry));
@@ -362,9 +385,12 @@ class CheckpointLog final : public StateLog<StateT> {
       rows = StateTraits<StateT>::Rows(*entries_[start].full);
       next = start + 1;
     }
-    for (size_t i = next; i <= last; ++i) ApplyDelta(entries_[i], rows);
-    auto state = std::make_shared<const StateT>(
-        StateTraits<StateT>::FromRows(entries_[last].schema, std::move(rows)));
+    for (size_t i = next; i <= last; ++i) {
+      ApplyRowDelta(entries_[i].delta->added, entries_[i].delta->removed,
+                    rows);
+    }
+    auto state = std::make_shared<const StateT>(StateTraits<StateT>::FromRows(
+        entries_[start].full->schema(), std::move(rows)));
     cache_.Put(last, state);
     return state;
   }
@@ -377,9 +403,12 @@ class CheckpointLog final : public StateLog<StateT> {
     size_t total = 0;
     for (const Entry& e : entries_) {
       total += sizeof(TransactionNumber) + 32;
-      if (e.full != nullptr) total += ApproxSize(*e.full);
-      for (const Row& r : e.added) total += ApproxSize(r);
-      for (const Row& r : e.removed) total += ApproxSize(r);
+      if (e.full != nullptr) {
+        total += ApproxSize(*e.full);
+        continue;
+      }
+      for (const Row& r : e.delta->added) total += ApproxSize(r);
+      for (const Row& r : e.delta->removed) total += ApproxSize(r);
     }
     return total;
   }
@@ -393,30 +422,17 @@ class CheckpointLog final : public StateLog<StateT> {
   size_t interval() const { return interval_; }
 
  private:
-  struct Entry {
-    TransactionNumber txn = 0;
-    Schema schema;
-    std::shared_ptr<const StateT> full;  // non-null iff checkpoint entry
-    std::vector<Row> added;              // delta entries only
+  struct Delta {
+    std::vector<Row> added;
     std::vector<Row> removed;
   };
-
-  static void ApplyDelta(const Entry& entry, std::vector<Row>& rows) {
-    if (!entry.removed.empty()) {
-      std::vector<Row> kept;
-      kept.reserve(rows.size());
-      std::set_difference(rows.begin(), rows.end(), entry.removed.begin(),
-                          entry.removed.end(), std::back_inserter(kept));
-      rows = std::move(kept);
-    }
-    if (!entry.added.empty()) {
-      std::vector<Row> merged;
-      merged.reserve(rows.size() + entry.added.size());
-      std::merge(rows.begin(), rows.end(), entry.added.begin(),
-                 entry.added.end(), std::back_inserter(merged));
-      rows = std::move(merged);
-    }
-  }
+  struct Entry {
+    TransactionNumber txn = 0;
+    // Exactly one is non-null: the full state of a checkpoint entry, or
+    // the rows a delta entry changes.
+    std::shared_ptr<const StateT> full;
+    std::shared_ptr<const Delta> delta;
+  };
 
   size_t interval_;
   std::vector<Entry> entries_;
@@ -443,24 +459,19 @@ class ReverseDeltaLog final : public StateLog<StateT> {
     if (!txns_.empty() && txn <= txns_.back()) {
       return InternalError("non-increasing transaction number in Append");
     }
-    const std::vector<Row>& new_rows = StateTraits<StateT>::Rows(state);
     if (!txns_.empty()) {
       // Record how to get the *previous* state back from the new one.
       const std::vector<Row>& current_rows =
           StateTraits<StateT>::Rows(*current_state_);
-      BackEntry entry;
-      entry.schema = current_state_->schema();
+      auto entry = std::make_shared<BackEntry>();
+      entry->schema = current_state_->schema();
       if (current_state_->schema() != state.schema()) {
         // Scheme boundary: keep the previous rows verbatim.
-        entry.is_full = true;
-        entry.added = current_rows;
+        entry->is_full = true;
+        entry->added = current_rows;
       } else {
-        std::set_difference(current_rows.begin(), current_rows.end(),
-                            new_rows.begin(), new_rows.end(),
-                            std::back_inserter(entry.added));
-        std::set_difference(new_rows.begin(), new_rows.end(),
-                            current_rows.begin(), current_rows.end(),
-                            std::back_inserter(entry.removed));
+        DiffRows(StateTraits<StateT>::Rows(state), current_rows,
+                 entry->added, entry->removed);
       }
       back_deltas_.push_back(std::move(entry));
     }
@@ -499,11 +510,11 @@ class ReverseDeltaLog final : public StateLog<StateT> {
       schema = current_state_->schema();
     }
     for (size_t k = from; k > target; --k) {
-      const BackEntry& entry = back_deltas_[k - 1];
+      const BackEntry& entry = *back_deltas_[k - 1];
       if (entry.is_full) {
         rows = entry.added;
       } else {
-        ApplyBack(entry, rows);
+        ApplyRowDelta(entry.added, entry.removed, rows);
       }
       schema = entry.schema;
     }
@@ -520,10 +531,10 @@ class ReverseDeltaLog final : public StateLog<StateT> {
   size_t ApproxBytes() const override {
     size_t total = 64;
     if (current_state_ != nullptr) total += ApproxSize(*current_state_);
-    for (const BackEntry& e : back_deltas_) {
+    for (const auto& e : back_deltas_) {
       total += 32;
-      for (const Row& r : e.added) total += ApproxSize(r);
-      for (const Row& r : e.removed) total += ApproxSize(r);
+      for (const Row& r : e->added) total += ApproxSize(r);
+      for (const Row& r : e->removed) total += ApproxSize(r);
     }
     total += txns_.size() * sizeof(TransactionNumber);
     return total;
@@ -543,25 +554,9 @@ class ReverseDeltaLog final : public StateLog<StateT> {
     std::vector<Row> removed;  // rows the newer state introduced
   };
 
-  static void ApplyBack(const BackEntry& entry, std::vector<Row>& rows) {
-    if (!entry.removed.empty()) {
-      std::vector<Row> kept;
-      kept.reserve(rows.size());
-      std::set_difference(rows.begin(), rows.end(), entry.removed.begin(),
-                          entry.removed.end(), std::back_inserter(kept));
-      rows = std::move(kept);
-    }
-    if (!entry.added.empty()) {
-      std::vector<Row> merged;
-      merged.reserve(rows.size() + entry.added.size());
-      std::merge(rows.begin(), rows.end(), entry.added.begin(),
-                 entry.added.end(), std::back_inserter(merged));
-      rows = std::move(merged);
-    }
-  }
-
   std::vector<TransactionNumber> txns_;
-  std::vector<BackEntry> back_deltas_;  // size = txns_.size() - 1
+  // size = txns_.size() - 1
+  std::vector<std::shared_ptr<const BackEntry>> back_deltas_;
   std::shared_ptr<const StateT> current_state_;
   FindStateCache<StateT> cache_;
 };

@@ -6,7 +6,10 @@
 //    StateLog::StateAt (replay + cache fill) races only against other
 //    readers, never against Append;
 //  * states are copy-on-write — Snapshot()/Clone() hand immutable reps to
-//    other threads, which evaluate operators on them concurrently.
+//    other threads, which evaluate operators on them concurrently;
+//  * database versions share relations — the writer copies a relation
+//    that an older session still reads, or changes it in place once the
+//    last such session is gone (util/cow.h).
 //
 // The assertions are deliberately light: these tests earn their keep under
 // ThreadSanitizer (cmake -DTTRA_SANITIZE=thread; tools/check.sh --tsan),
@@ -302,6 +305,110 @@ TEST(TsanStressTest, GroupCommitProducersReadersCheckpointer) {
             static_cast<uint64_t>(2 + kProducerThreads * kCommitsPerProducer));
   EXPECT_LE(stats.per_shard[0].wal.syncs, stats.per_shard[0].wal.records);
   exec.Stop();
+}
+
+/// Structural sharing between versions. On ShardedExecutor each batch
+/// applies to a clone of the chain tip that shares relation "r" with every
+/// published version, so the writer's first change to r copies it (entry
+/// pointers and the FINDSTATE cache) while readers on older sessions
+/// replay r's history and fill that same cache; atomic sentences add the
+/// per-entry clone of the batch version. SerialExecutor changes its
+/// database in place: a reader's Snapshot() shares r until the reader
+/// drops it, and the writer then appends to r in place. That write must
+/// happen after every read made through the dropped snapshot, which only
+/// the acquire ordering of the uniqueness test provides (the readers read
+/// outside the executor's lock).
+void CowRelationVsPinnedReaders(StorageKind storage) {
+  InMemoryEnv env;
+  ShardedOptions options;
+  options.durable.db.storage = storage;
+  options.durable.db.checkpoint_interval = 4;
+  options.durable.db.findstate_cache_capacity = 4;
+  options.group_commit.max_batch = 4;
+  options.group_commit.max_latency = std::chrono::microseconds(50);
+  ShardedExecutor exec(&env, "db", options);
+  ASSERT_TRUE(exec.Start().ok());
+  ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                      "r", RelationType::kRollback, StressSchema()}})
+                  .ok());
+  ASSERT_TRUE(
+      exec.Submit(Command{ModifySnapshotCmd{"r", StateOfSize(1)}}).ok());
+
+  // As in HammerStateLog: commit c writes c tuples at txn c + 1, so the
+  // state as of txn has txn - 1 tuples.
+  std::atomic<int> errors{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaderThreads);
+  for (int t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&exec, &errors, t] {
+      uint64_t salt = static_cast<uint64_t>(t) + 1;
+      for (int i = 0; i < 50; ++i) {
+        const Session session = exec.OpenSession();
+        for (int probe = 0; probe < 4; ++probe) {
+          salt = salt * 6364136223846793005u + 1442695040888963407u;
+          const TransactionNumber txn =
+              2 + (salt >> 33) % (session.epoch() - 1);
+          auto state = session.Rollback("r", txn);
+          if (!state.ok() || state->size() != txn - 1) errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int commit = 2; commit <= kWriterCommits; ++commit) {
+    std::vector<Command> sentence;
+    sentence.push_back(
+        ModifySnapshotCmd{"r", StateOfSize(static_cast<size_t>(commit))});
+    auto txn = commit % 4 == 0 ? exec.SubmitAtomic(std::move(sentence))
+                               : exec.Submit(std::move(sentence));
+    ASSERT_TRUE(txn.ok());
+    EXPECT_EQ(*txn, static_cast<TransactionNumber>(commit + 1));
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  exec.Stop();
+
+  SerialExecutor serial(options.durable.db);
+  ASSERT_TRUE(serial.Submit([](Database& db) {
+                      TTRA_RETURN_IF_ERROR(db.DefineRelation(
+                          "r", RelationType::kRollback, StressSchema()));
+                      return db.ModifyState("r", StateOfSize(1));
+                    })
+                  .ok());
+  readers.clear();
+  for (int t = 0; t < kReaderThreads; ++t) {
+    readers.emplace_back([&serial, &errors, t] {
+      uint64_t salt = static_cast<uint64_t>(t) + 1;
+      for (int i = 0; i < 50; ++i) {
+        const Database view = serial.Snapshot();
+        for (int probe = 0; probe < 4; ++probe) {
+          salt = salt * 6364136223846793005u + 1442695040888963407u;
+          const TransactionNumber txn =
+              2 + (salt >> 33) % (view.transaction_number() - 1);
+          auto state = view.Rollback("r", txn);
+          if (!state.ok() || state->size() != txn - 1) errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int commit = 2; commit <= kWriterCommits; ++commit) {
+    ASSERT_TRUE(serial.Submit([commit](Database& db) {
+                        return db.ModifyState(
+                            "r", StateOfSize(static_cast<size_t>(commit)));
+                      })
+                    .ok());
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+}
+
+TEST(TsanStressTest, CowRelationVsPinnedReadersDelta) {
+  CowRelationVsPinnedReaders(StorageKind::kDelta);
+}
+TEST(TsanStressTest, CowRelationVsPinnedReadersCheckpoint) {
+  CowRelationVsPinnedReaders(StorageKind::kCheckpoint);
+}
+TEST(TsanStressTest, CowRelationVsPinnedReadersReverseDelta) {
+  CowRelationVsPinnedReaders(StorageKind::kReverseDelta);
 }
 
 // Online storage compaction (DESIGN.md §16) under maximal interleaving:
