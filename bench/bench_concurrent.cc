@@ -44,8 +44,15 @@ Schema BenchSchema() {
 
 void ResetDir(Env* env) {
   (void)env->Remove(std::string(kDir) + "/wal.log");
-  (void)env->Remove(std::string(kDir) + "/checkpoint.db");
-  (void)env->Remove(std::string(kDir) + "/checkpoint.db.tmp");
+  // The compact checkpoint: without this sweep the next iteration would
+  // adopt the previous one's state (and its define would fail).
+  if (Result<std::vector<std::string>> files = env->List(kDir); files.ok()) {
+    for (const std::string& name : *files) {
+      if (name == kCompactManifestFile || IsSegmentFileName(name)) {
+        (void)env->Remove(std::string(kDir) + "/" + name);
+      }
+    }
+  }
   // Sharded layout (BM_ShardedCommitThroughput).
   for (int k = 0; k < 8; ++k) {
     (void)env->Remove(std::string(kDir) + "/" + ShardWalFile(k));

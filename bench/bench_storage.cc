@@ -145,8 +145,9 @@ BENCHMARK(BM_SerializeRoundTrip)->Arg(4)->Arg(16)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // Experiment E17: the on-disk compact checkpoint engine (DESIGN.md §16)
-// against the full-copy checkpoint.db baseline, through the real
-// DurableExecutor write path.
+// against the full-copy baseline, through the real DurableExecutor write
+// path. The full-copy side checkpoints the way the retired checkpoint.db
+// layout did: SaveDatabase rewrites the whole database image.
 
 /// In-memory env that counts every byte handed to Append — the write
 /// amplification a real disk would absorb.
@@ -180,19 +181,46 @@ std::vector<Command> DiskWorkload(const Schema& schema) {
   return commands;
 }
 
-DurableOptions DiskOptions(bool compact) {
+constexpr size_t kDiskCheckpointEvery = 4;
+constexpr char kFullCopyImage[] = "b/full.db";
+
+DurableOptions DiskOptions() {
   DurableOptions options;
   options.sync_policy = SyncPolicy::kNever;
-  options.checkpoint_every = 4;
-  options.compact_storage = compact;
   options.compact.keyframe_interval = 16;
   return options;
+}
+
+/// One checkpoint of the measured layout: compact appends an incremental
+/// manifest record; full-copy rewrites the whole image.
+Status DiskCheckpoint(DurableExecutor& exec, Env* env, bool compact) {
+  return compact ? exec.Checkpoint()
+                 : SaveDatabase(exec.Snapshot(), kFullCopyImage, env);
+}
+
+/// Opens "b", defines emp and commits the workload with a checkpoint
+/// every kDiskCheckpointEvery commits and one at the end.
+Status RunDiskWorkload(Env* env, bool compact, const Schema& schema,
+                       const std::vector<Command>& commands) {
+  DurableExecutor exec(env, "b", DiskOptions());
+  TTRA_RETURN_IF_ERROR(exec.Open());
+  TTRA_RETURN_IF_ERROR(
+      exec.Submit(DefineRelationCmd{"emp", RelationType::kRollback, schema})
+          .status());
+  for (size_t i = 0; i < commands.size(); ++i) {
+    TTRA_RETURN_IF_ERROR(exec.Submit(commands[i]).status());
+    if ((i + 1) % kDiskCheckpointEvery == 0) {
+      TTRA_RETURN_IF_ERROR(DiskCheckpoint(exec, env, compact));
+    }
+  }
+  return DiskCheckpoint(exec, env, compact);
 }
 
 /// Bytes appended per committed transaction, WAL + checkpoints included,
 /// with a checkpoint every 4 commits. Full-copy rewrites the entire
 /// database image at each checkpoint (quadratic in history); compact
-/// appends only the states recorded since the covered watermark.
+/// appends only the states recorded since the covered watermark. Both
+/// sides share the WAL and the executor's one opening checkpoint record.
 void RunBytesPerTxn(benchmark::State& state, bool compact) {
   const Schema schema = *Schema::Make(
       {{"id", ValueType::kInt}, {"payload", ValueType::kString}});
@@ -200,21 +228,9 @@ void RunBytesPerTxn(benchmark::State& state, bool compact) {
   uint64_t appended = 0;
   for (auto _ : state) {
     CountingEnv env;
-    DurableExecutor exec(&env, "b", DiskOptions(compact));
-    if (!exec.Open().ok() ||
-        !exec.Submit(DefineRelationCmd{"emp", RelationType::kRollback, schema})
-             .ok()) {
-      state.SkipWithError("open/define failed");
-      return;
-    }
-    for (const Command& command : commands) {
-      if (!exec.Submit(command).ok()) {
-        state.SkipWithError("submit failed");
-        return;
-      }
-    }
-    if (!exec.Checkpoint().ok()) {
-      state.SkipWithError("checkpoint failed");
+    if (Status run = RunDiskWorkload(&env, compact, schema, commands);
+        !run.ok()) {
+      state.SkipWithError(run.ToString().c_str());
       return;
     }
     appended = env.appended_bytes();
@@ -235,8 +251,8 @@ BENCHMARK(BM_BytesPerTxnFullCopy);
 BENCHMARK(BM_BytesPerTxnCompact);
 
 /// FINDSTATE (ρ) at a random past transaction, resolved from storage.
-/// Full-copy must materialize the whole checkpoint.db image to answer
-/// one probe; compact probes the manifest's interval index and replays
+/// Full-copy must materialize the whole database image to answer one
+/// probe; compact probes the manifest's interval index and replays
 /// at most keyframe_interval delta entries from the segment. The store
 /// is armed once (Load folds the manifest), but every probe re-reads the
 /// segment file and decodes from the governing keyframe, and the probe
@@ -245,24 +261,10 @@ void RunFindStateProbe(benchmark::State& state, bool compact) {
   const Schema schema = *Schema::Make(
       {{"id", ValueType::kInt}, {"payload", ValueType::kString}});
   InMemoryEnv env;
-  {
-    DurableExecutor exec(&env, "b", DiskOptions(compact));
-    if (!exec.Open().ok() ||
-        !exec.Submit(DefineRelationCmd{"emp", RelationType::kRollback, schema})
-             .ok()) {
-      state.SkipWithError("open/define failed");
-      return;
-    }
-    for (const Command& command : DiskWorkload(schema)) {
-      if (!exec.Submit(command).ok()) {
-        state.SkipWithError("submit failed");
-        return;
-      }
-    }
-    if (!exec.Checkpoint().ok()) {
-      state.SkipWithError("checkpoint failed");
-      return;
-    }
+  if (Status run = RunDiskWorkload(&env, compact, schema, DiskWorkload(schema));
+      !run.ok()) {
+    state.SkipWithError(run.ToString().c_str());
+    return;
   }
   // Probe targets: a fixed pseudo-random walk over the recorded history.
   std::vector<TransactionNumber> targets;
@@ -292,7 +294,7 @@ void RunFindStateProbe(benchmark::State& state, bool compact) {
       }
       benchmark::DoNotOptimize(*probed);
     } else {
-      Result<Database> db = LoadDatabase("b/checkpoint.db", {}, &env);
+      Result<Database> db = LoadDatabase(kFullCopyImage, {}, &env);
       if (!db.ok()) {
         state.SkipWithError("load failed");
         return;

@@ -54,9 +54,17 @@ void RunCommitThroughput(benchmark::State& state, SyncPolicy policy,
   options.sync_policy = policy;
   options.batch_size = batch_size;
   DurableExecutor exec(env, "/tmp/ttra_bench_wal_dir", options);
-  // Fresh state per run: discard whatever the previous run left behind.
-  (void)env->Remove(exec.wal_path());
-  (void)env->Remove(exec.checkpoint_path());
+  // Fresh state per run: discard whatever the previous run left behind
+  // (the log and the compact checkpoint).
+  if (Result<std::vector<std::string>> files = env->List(exec.dir());
+      files.ok()) {
+    for (const std::string& name : *files) {
+      if (name == "wal.log" || name == kCompactManifestFile ||
+          IsSegmentFileName(name)) {
+        (void)env->Remove(exec.dir() + "/" + name);
+      }
+    }
+  }
   if (!exec.Open().ok()) {
     state.SkipWithError("cannot open durable executor");
     return;

@@ -126,8 +126,17 @@ CompactStore::CompactStore(Env* env, std::string dir, CompactOptions options)
       options_(options),
       manifest_(env, dir_ + "/" + kCompactManifestFile) {}
 
-bool CompactStore::IsCompactDir(const Env& env, const std::string& dir) {
-  return env.Exists(dir + "/" + kCompactManifestFile);
+Status RefuseLegacyLayout(const Env& env, const std::string& dir) {
+  if (!env.Exists(dir + "/" + kLegacyCheckpointFile) ||
+      env.Exists(dir + "/" + kCompactManifestFile)) {
+    return Status::Ok();
+  }
+  return InvalidArgumentError(
+      dir + " holds a legacy full-image checkpoint (" +
+      std::string(kLegacyCheckpointFile) +
+      ") without " + kCompactManifestFile +
+      "; that layout is no longer read. Export it with an older release "
+      "or start in a fresh directory");
 }
 
 bool CompactStore::Exists() const { return env_->Exists(manifest_path()); }

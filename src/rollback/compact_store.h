@@ -16,9 +16,10 @@ namespace ttra {
 
 /// Compact checkpoint store (DESIGN.md §16): the efficient implementation
 /// the paper's claim (iii) anticipates, proved equivalent to the
-/// full-state-copy semantics by the compact-storage oracle suite. Instead
-/// of rewriting `checkpoint.db` (the whole database, every state in
-/// full) on every checkpoint, the store keeps
+/// full-state-copy semantics by the compact store oracle suite. It is
+/// the only checkpoint layout of the durable executors. Instead of
+/// rewriting the whole database, every state in full, on every
+/// checkpoint, the store keeps
 ///
 ///   * one delta-encoded *segment file* per relation (keyframes +
 ///     insert/delete tuple deltas, each entry WAL-framed and
@@ -45,13 +46,16 @@ struct CompactOptions {
   size_t probe_cache_capacity = kDefaultFindStateCacheCapacity;
 };
 
+/// kInvalidArgument when `dir` holds a legacy full-image checkpoint
+/// (kLegacyCheckpointFile) but no compact manifest. The executors call it
+/// before writing anything: opening such a directory would read it as an
+/// empty database, and the sharded recovery would then drop every logged
+/// commit as beyond the first gap and truncate the shard logs.
+Status RefuseLegacyLayout(const Env& env, const std::string& dir);
+
 class CompactStore {
  public:
   CompactStore(Env* env, std::string dir, CompactOptions options = {});
-
-  /// True when `dir` holds a compact layout (its manifest exists) — the
-  /// auto-adoption check, like IsShardedDir for the sharded layout.
-  static bool IsCompactDir(const Env& env, const std::string& dir);
 
   bool Exists() const;
   std::string manifest_path() const { return dir_ + "/" + kCompactManifestFile; }

@@ -10,24 +10,16 @@ namespace {
 enum RecordKind : uint8_t {
   kKindSentence = 0,
   kKindAtomic = 1,
-  /// A group-committed batch: [u64 count] followed by `count` encoded
-  /// entries. One record — and thus one checksum — frames the whole
-  /// batch, so a crash can never surface part of it.
+  /// A group-committed batch: [u64 count] followed by `count` entries,
+  /// each [u8 atomic][u64 pre_txn][u64 n][n commands]. One record, and
+  /// thus one checksum, frames the whole batch, so a crash can never
+  /// surface part of it. Nothing writes it any more; it is replayed for
+  /// wal.log files that older releases left behind.
   kKindGroup = 2,
 };
 
 void PutU64(uint64_t v, std::string& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-/// The per-sentence encoding shared by plain and group records:
-/// [u8 atomic][u64 pre_txn][u64 n][n commands].
-void EncodeEntry(bool atomic, TransactionNumber pre_txn,
-                 const std::vector<Command>& sentence, std::string& out) {
-  out.push_back(static_cast<char>(atomic ? 1 : 0));
-  PutU64(pre_txn, out);
-  PutU64(sentence.size(), out);
-  for (const Command& command : sentence) EncodeCommand(command, out);
 }
 
 std::string EncodeRecord(bool atomic, TransactionNumber pre_txn,
@@ -108,6 +100,7 @@ DurableExecutor::DurableExecutor(Env* env, std::string dir,
       dir_(std::move(dir)),
       options_(options),
       exec_(options.db),
+      compact_(std::make_unique<CompactStore>(env, dir_, options.compact)),
       wal_(env, dir_ + "/wal.log") {}
 
 Status DurableExecutor::Open() {
@@ -126,23 +119,12 @@ Status DurableExecutor::Open() {
         "`--group-commit`/`--shards` or recover it with `ttra recover`");
   }
 
-  // A directory that already holds a compact layout is adopted even when
-  // the option is off, so reopening with default options never misreads
-  // (or clobbers) a compact directory.
-  if (compact_ == nullptr &&
-      (options_.compact_storage || CompactStore::IsCompactDir(*env_, dir_))) {
-    compact_ = std::make_unique<CompactStore>(env_, dir_, options_.compact);
-  }
+  TTRA_RETURN_IF_ERROR(RefuseLegacyLayout(*env_, dir_));
 
-  // 1. Last checkpoint (or the empty database before the first one). A
-  // compact store loads from its manifest; a legacy checkpoint.db under a
-  // compact-enabled open is the migration source.
+  // 1. Last checkpoint (or the empty database before the first one).
   Database db(options_.db);
-  if (compact_ != nullptr && compact_->Exists()) {
+  if (compact_->Exists()) {
     TTRA_ASSIGN_OR_RETURN(db, compact_->Load(options_.db));
-  } else if (env_->Exists(checkpoint_path())) {
-    TTRA_ASSIGN_OR_RETURN(db,
-                          LoadDatabase(checkpoint_path(), options_.db, env_));
   }
   last_recovery_.checkpoint_txn = db.transaction_number();
 
@@ -177,33 +159,19 @@ Status DurableExecutor::Open() {
     }
   }
 
-  // 3. Re-establish the on-disk invariant: checkpoint covers the current
-  // state. Legacy layout: rewrite checkpoint.db and start an empty WAL.
-  // Compact layout: append an incremental manifest record and KEEP the
-  // WAL (replay skips covered records by pre_txn; the retained log is
-  // what lets fsck rebuild the exact acked prefix after segment damage) —
-  // only CompactStorage() truncates it.
-  if (compact_ != nullptr) {
-    TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
-    if (env_->Exists(checkpoint_path())) {
-      // Migration is committed by the manifest write above; the legacy
-      // checkpoint (and any torn temp) is dead weight from here on.
-      env_->Remove(checkpoint_path()).IgnoreError();
+  // 3. Re-establish the on-disk invariant: the checkpoint covers the
+  // current state. Append an incremental manifest record and KEEP the WAL
+  // (replay skips covered records by pre_txn; the retained log is what
+  // lets fsck rebuild the exact acked prefix after segment damage). Only
+  // CompactStorage() truncates it.
+  TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
+  if (wal_exists) {
+    if (wal_torn) {
+      TTRA_RETURN_IF_ERROR(env_->TruncateTo(wal_.path(), wal_valid_size));
+      TTRA_RETURN_IF_ERROR(env_->Sync(wal_.path()));
     }
-    if (env_->Exists(checkpoint_path() + ".tmp")) {
-      env_->Remove(checkpoint_path() + ".tmp").IgnoreError();
-    }
-    if (wal_exists) {
-      if (wal_torn) {
-        TTRA_RETURN_IF_ERROR(env_->TruncateTo(wal_.path(), wal_valid_size));
-        TTRA_RETURN_IF_ERROR(env_->Sync(wal_.path()));
-      }
-      TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
-    } else {
-      TTRA_RETURN_IF_ERROR(wal_.Create());
-    }
+    TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
   } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(db, checkpoint_path(), env_));
     TTRA_RETURN_IF_ERROR(wal_.Create());
   }
 
@@ -329,7 +297,7 @@ Result<TransactionNumber> DurableExecutor::SubmitInternal(
   if (options_.checkpoint_every != 0 &&
       commits_since_checkpoint_ >= options_.checkpoint_every) {
     // Best effort: a failed checkpoint leaves the WAL authoritative, which
-    // is safe; a failed WAL truncation inside flips healthy_ off.
+    // is safe; the failure itself flips healthy_ off.
     CheckpointLocked().IgnoreError();
   }
   return result;
@@ -349,115 +317,17 @@ Result<TransactionNumber> DurableExecutor::SubmitAtomic(
   return SubmitInternal(sentence, /*atomic=*/true);
 }
 
-std::vector<Result<TransactionNumber>> DurableExecutor::SubmitGroup(
-    const std::vector<GroupEntry>& entries) {
-  std::vector<Result<TransactionNumber>> results;
-  if (entries.empty()) return results;
-  results.reserve(entries.size());
-
-  MutexLock lock(commit_mutex_);
-  const auto fail_all = [&](const Status& status) {
-    results.assign(entries.size(), Result<TransactionNumber>(status));
-  };
-  if (!healthy_) {
-    fail_all(UnavailableError(
-        "durable executor is failed-stop after an I/O error; reopen to "
-        "recover"));
-    return results;
-  }
-
-  // Stage every entry on a private clone, recording per-entry pre-commit
-  // transaction numbers (the replay framing) and results. Nothing is
-  // visible to readers yet, so an I/O failure below can still abandon the
-  // whole batch with memory untouched — exact log-before-apply.
-  Database staged = exec_.Snapshot();
-  std::string payload;
-  payload.push_back(static_cast<char>(kKindGroup));
-  PutU64(entries.size(), payload);
-  for (const GroupEntry& entry : entries) {
-    EncodeEntry(entry.atomic, staged.transaction_number(), entry.sentence,
-                payload);
-    Status applied;
-    if (entry.atomic) {
-      Database scratch = staged.Clone();
-      applied = ApplySentence(scratch, entry.sentence);
-      if (applied.ok()) staged = std::move(scratch);
-    } else {
-      applied = ApplySentence(staged, entry.sentence);
-    }
-    if (applied.ok()) {
-      results.emplace_back(staged.transaction_number());
-    } else {
-      results.emplace_back(applied);
-    }
-  }
-
-  // One record, one (policy-dependent) sync for the whole batch. The
-  // single checksummed record is what makes the batch atomic across a
-  // crash: recovery replays all of it or none of it. Transient failures
-  // are retried (with the torn frame cut back) before giving up.
-  Status io = RetryWalOp([this, &payload]() TTRA_REQUIRES(commit_mutex_) {
-    return wal_.AddRecord(payload);
-  }, /*reset_tail=*/true);
-  if (io.ok()) {
-    commits_since_sync_ += entries.size();
-    const bool sync_now =
-        options_.sync_policy == SyncPolicy::kAlways ||
-        (options_.sync_policy == SyncPolicy::kBatch &&
-         commits_since_sync_ >= options_.batch_size);
-    if (sync_now) {
-      io = RetryWalOp([this]() TTRA_REQUIRES(commit_mutex_) {
-        return wal_.Sync();
-      }, /*reset_tail=*/false);
-      if (io.ok()) commits_since_sync_ = 0;
-    }
-  }
-  if (!io.ok()) {
-    FailStopLocked(io);
-    fail_all(io);
-    return results;
-  }
-
-  // Durable (per policy): install the staged database and acknowledge.
-  exec_.Reset(std::move(staged));
-  commits_since_checkpoint_ += entries.size();
-  if (options_.checkpoint_every != 0 &&
-      commits_since_checkpoint_ >= options_.checkpoint_every) {
-    // Same best-effort contract as the single-submit path above.
-    CheckpointLocked().IgnoreError();
-  }
-  return results;
-}
-
 Status DurableExecutor::CheckpointLocked() {
-  if (compact_ != nullptr) {
-    // Incremental manifest record; the WAL is retained. A failure other
-    // than a clean no-op leaves the manifest writer in an unknown state
-    // (a torn record would strand later appends behind a hole), so it
-    // flips fail-stop; reopening re-arms from the validated prefix.
-    Status status = compact_->WriteCheckpoint(exec_.Snapshot());
-    if (!status.ok()) {
-      FailStopLocked(status);
-      return status;
-    }
-    commits_since_checkpoint_ = 0;
-    return Status::Ok();
-  }
-  // Publishing the checkpoint (write temp, sync, durable rename) must
-  // strictly precede truncating the WAL: a crash in between leaves both a
-  // complete checkpoint and a WAL whose records the replay skips by
-  // transaction number.
-  TTRA_RETURN_IF_ERROR(
-      SaveDatabase(exec_.Snapshot(), checkpoint_path(), env_));
-  Status status = wal_.Create();
+  // Incremental manifest record; the WAL is retained. A failure other than
+  // a clean no-op leaves the manifest writer in an unknown state (a torn
+  // record would strand later appends behind a hole), so it flips
+  // fail-stop; reopening re-arms from the validated prefix.
+  Status status = compact_->WriteCheckpoint(exec_.Snapshot());
   if (!status.ok()) {
-    // The WAL file is in an unknown state; stop accepting writes. The
-    // checkpoint just written covers everything committed so far.
     FailStopLocked(status);
     return status;
   }
   commits_since_checkpoint_ = 0;
-  commits_since_sync_ = 0;
   return Status::Ok();
 }
 
@@ -473,11 +343,6 @@ Status DurableExecutor::CompactStorage() {
   MutexLock lock(commit_mutex_);
   if (!healthy_) {
     return UnavailableError("durable executor needs recovery; reopen");
-  }
-  if (compact_ == nullptr) {
-    return InvalidArgumentError(
-        "compact storage is not enabled for this executor (open with "
-        "compact_storage = true)");
   }
   // Commit order: the swapped-in full manifest covers every committed
   // transaction before the WAL restarts empty, so a crash between the two

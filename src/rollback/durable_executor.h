@@ -54,18 +54,16 @@ struct DurableOptions {
   SyncPolicy sync_policy = SyncPolicy::kAlways;
   /// Commits between syncs under SyncPolicy::kBatch.
   size_t batch_size = 32;
-  /// Auto-checkpoint (and truncate the WAL) every N commits; 0 = only when
-  /// Checkpoint() is called.
+  /// Auto-checkpoint every N commits; 0 = only when Checkpoint() is
+  /// called. A checkpoint appends an incremental manifest record and keeps
+  /// the WAL; only CompactStorage() truncates it.
   size_t checkpoint_every = 0;
   /// Transient-failure retry policy for WAL appends and syncs.
   RetryOptions retry;
-  /// Use the compact checkpoint layout (DESIGN.md §16): delta-encoded
-  /// per-relation segments plus an incremental manifest, instead of
-  /// rewriting checkpoint.db in full. A directory that already holds a
-  /// compact layout is adopted regardless of this flag; a legacy
-  /// checkpoint.db is migrated on the first compact Open(). Under compact
-  /// storage the WAL is retained across checkpoints (it is the salvage
-  /// baseline) and only truncated by CompactStorage().
+  /// Ignored: the compact layout (DESIGN.md §16) is the only checkpoint
+  /// layout. The field remains only because the e2ebench engine adapter
+  /// (e2ebench/cc/engine.cc) still assigns it; delete it together with
+  /// that line. Nothing else may set it.
   bool compact_storage = false;
   CompactOptions compact;
 };
@@ -101,17 +99,18 @@ Result<std::vector<LoggedSentence>> DecodeWalRecord(std::string_view record);
 /// committed commands — the sole determinant of database state under the
 /// paper's C⟦·⟧ semantics — survives a crash.
 ///
-/// On-disk layout in `dir`: "checkpoint.db" (SaveDatabase output) plus
-/// "wal.log" (commands committed since the checkpoint). Open() recovers:
-/// load the checkpoint, replay the WAL suffix (tolerating a torn tail),
-/// then re-establish the invariant by writing a fresh checkpoint and an
-/// empty WAL.
+/// On-disk layout in `dir`: the compact checkpoint (CompactStore:
+/// "segments.manifest" plus one segment file per relation) and "wal.log",
+/// the commands committed since the last CompactStorage(). Open()
+/// recovers: load the checkpoint, replay the WAL suffix (tolerating a torn
+/// tail), then append a checkpoint record covering the result. The WAL is
+/// retained across checkpoints; it is what lets fsck rebuild the acked
+/// prefix after segment damage.
 ///
 /// Replay is deterministic re-execution: a record is applied exactly as it
 /// was live (paper sequencing for Submit, all-or-nothing for
 /// SubmitAtomic), and records whose pre-commit transaction number is
-/// already covered by the checkpoint are skipped, so a crash between
-/// checkpoint publication and WAL truncation is harmless.
+/// already covered by the checkpoint are skipped.
 ///
 /// After any WAL write failure the executor fails stop: the in-memory
 /// state can no longer be proven equal to a replay of the log, so every
@@ -129,7 +128,8 @@ class DurableExecutor {
   /// log. Idempotent; also the way back to health after a fault.
   /// kInvalidArgument, before anything is written, for a sharded
   /// directory (a MANIFEST is present): its commits live in the shard
-  /// logs, which this executor never reads.
+  /// logs, which this executor never reads. Likewise for a legacy
+  /// full-image directory (RefuseLegacyLayout).
   Status Open();
 
   /// Durably logs and applies a sentence with the paper's sequencing
@@ -143,27 +143,12 @@ class DurableExecutor {
   /// Durably logs a sentence and applies it all-or-nothing.
   Result<TransactionNumber> SubmitAtomic(const std::vector<Command>& sentence);
 
-  /// Group commit: applies the entries in order and logs the whole batch
-  /// as ONE checksummed WAL record with ONE sync (under kAlways; kBatch
-  /// counts each entry toward its window; kNever never syncs). The single
-  /// record makes the batch atomic in durability — recovery replays either
-  /// every sentence of the batch or none, never a torn batch — while each
-  /// entry keeps its own commit semantics (paper sequencing vs atomic).
-  ///
-  /// Log-before-apply is preserved: entries are staged on a private clone,
-  /// the record is appended and (per policy) synced, and only then is the
-  /// staged database installed and the batch acknowledged. Any I/O error
-  /// discards the staging clone and fails stop, leaving memory clean.
-  /// Returns one result per entry, in order.
-  std::vector<Result<TransactionNumber>> SubmitGroup(
-      const std::vector<GroupEntry>& entries);
-
-  /// Writes a fresh checkpoint of the current state. Legacy layout:
-  /// rewrites checkpoint.db and truncates the WAL. Compact layout:
-  /// appends an incremental manifest record (the WAL is retained).
+  /// Writes a fresh checkpoint of the current state: an incremental
+  /// manifest record naming the relations dirtied since the last one. The
+  /// WAL is retained.
   Status Checkpoint();
 
-  /// Online storage vacuum (compact layout only): rewrites every segment
+  /// Online storage vacuum: rewrites every segment
   /// at a fresh generation, swaps a one-record full manifest over the
   /// chain, removes superseded segments, and truncates the WAL. Holds the
   /// commit lock (writes wait) but readers are untouched.
@@ -215,14 +200,12 @@ class DurableExecutor {
   };
   RecoveryInfo last_recovery() const;
 
-  std::string checkpoint_path() const { return dir_ + "/checkpoint.db"; }
   std::string wal_path() const { return dir_ + "/wal.log"; }
   const std::string& dir() const { return dir_; }
 
-  /// The compact store backing this executor, or nullptr under the legacy
-  /// layout. Set once by Open(); the store is internally synchronized, so
-  /// probes (ρ by interval index over the checkpointed segments) are safe
-  /// concurrently with commits.
+  /// The compact store backing this executor; never null. The store is
+  /// internally synchronized, so probes (ρ by interval index over the
+  /// checkpointed segments) are safe concurrently with commits.
   CompactStore* compact_store() const { return compact_.get(); }
 
  private:
@@ -246,10 +229,9 @@ class DurableExecutor {
   DurableOptions options_;
   SerialExecutor exec_;
 
-  /// Non-null iff the compact layout is active. Created by Open() (before
-  /// the executor accepts work) and never reset, so the unsynchronized
+  /// Created by the constructor and never reset, so the unsynchronized
   /// accessor above is safe.
-  std::unique_ptr<CompactStore> compact_;
+  const std::unique_ptr<CompactStore> compact_;
 
   // The commit lock serializes the log-before-apply protocol (WAL append,
   // sync bookkeeping, checkpoint scheduling) and the health state it

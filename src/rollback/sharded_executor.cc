@@ -265,7 +265,11 @@ Result<ShardRecord> DecodeShardRecord(std::string_view payload) {
 
 ShardedExecutor::ShardedExecutor(Env* env, std::string dir,
                                  ShardedOptions options)
-    : env_(env), dir_(std::move(dir)), options_(options) {
+    : env_(env),
+      dir_(std::move(dir)),
+      options_(options),
+      compact_(std::make_unique<CompactStore>(env_, dir_,
+                                              options_.durable.compact)) {
   options_.shards = std::max<size_t>(1, options_.shards);
 }
 
@@ -285,6 +289,7 @@ Status ShardedExecutor::Start() {
         "`ttra recover` (unsharded) or start the sharded executor in a "
         "fresh directory");
   }
+  TTRA_RETURN_IF_ERROR(RefuseLegacyLayout(*env_, dir_));
   size_t shards = options_.shards;
   if (env_->Exists(manifest_path)) {
     // The directory remembers its own shard count: records are already
@@ -319,24 +324,11 @@ Status ShardedExecutor::Start() {
     shards_.push_back(std::move(shard));
   }
 
-  // Compact layout: adopted when present, enabled by option otherwise
-  // (a legacy checkpoint.db is migrated on the first compact Start()).
-  if (compact_ == nullptr &&
-      (options_.durable.compact_storage ||
-       CompactStore::IsCompactDir(*env_, dir_))) {
-    compact_ =
-        std::make_unique<CompactStore>(env_, dir_, options_.durable.compact);
-  }
-
   // Merged recovery: checkpoint, then every shard WAL + the coordinator
   // log re-establish one total order.
   Database db(options_.durable.db);
-  const std::string checkpoint_path = dir_ + "/checkpoint.db";
-  if (compact_ != nullptr && compact_->Exists()) {
+  if (compact_->Exists()) {
     TTRA_ASSIGN_OR_RETURN(db, compact_->Load(options_.durable.db));
-  } else if (env_->Exists(checkpoint_path)) {
-    TTRA_ASSIGN_OR_RETURN(
-        db, LoadDatabase(checkpoint_path, options_.durable.db, env_));
   }
   const TransactionNumber checkpoint_txn = db.transaction_number();
   TTRA_RETURN_IF_ERROR(Recover(db));
@@ -348,18 +340,7 @@ Status ShardedExecutor::Start() {
 
   // Re-establish the on-disk invariant: one checkpoint covering the
   // merged replay, fresh logs, sequence spaces reset.
-  if (compact_ != nullptr) {
-    TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
-    if (env_->Exists(checkpoint_path)) {
-      // Migration committed by the manifest write above.
-      env_->Remove(checkpoint_path).IgnoreError();
-    }
-    if (env_->Exists(checkpoint_path + ".tmp")) {
-      env_->Remove(checkpoint_path + ".tmp").IgnoreError();
-    }
-  } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(db, checkpoint_path, env_));
-  }
+  TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock lock(shards_[k]->wal_mutex);
     TTRA_RETURN_IF_ERROR(shards_[k]->wal->Create());
@@ -659,6 +640,14 @@ Database ShardedExecutor::Snapshot() const {
 }
 
 Status ShardedExecutor::Checkpoint() {
+  return QuiesceAndCheckpoint(/*full_rewrite=*/false);
+}
+
+Status ShardedExecutor::CompactStorage() {
+  return QuiesceAndCheckpoint(/*full_rewrite=*/true);
+}
+
+Status ShardedExecutor::QuiesceAndCheckpoint(bool full_rewrite) {
   // Exclusive gate: every writer holds the gate shared from prepare to
   // durability marking, so owning it exclusively proves no batch is in
   // flight anywhere — the watermark equals the chain tip and all sequence
@@ -681,73 +670,17 @@ Status ShardedExecutor::Checkpoint() {
   // gate already quiesces every writer (nothing can move the tip), the
   // copy-on-write snapshot is immutable, and this is by far the longest
   // I/O in the system — stats()/healthy() probes must not stall behind it.
-  if (compact_ != nullptr) {
-    Status status = compact_->WriteCheckpoint(*tip);
-    if (!status.ok()) {
-      // The manifest writer may hold a torn tail; only a re-Start()
-      // re-arms it from the validated prefix.
-      MutexLock lock(commit_mutex_);
-      EnterDegradedLocked(status);
-      return status;
-    }
-  } else {
-    TTRA_RETURN_IF_ERROR(SaveDatabase(*tip, dir_ + "/checkpoint.db", env_));
-  }
-  MutexLock lock(commit_mutex_);
-  // Checkpoint durable and it covers every commit: the logs may restart.
-  for (size_t k = 0; k < shard_count_; ++k) {
-    MutexLock wal_lock(shards_[k]->wal_mutex);
-    Status status = shards_[k]->wal->Create();
-    if (!status.ok()) {
-      EnterDegradedLocked(status);
-      return status;
-    }
-    shards_[k]->next_seq = 1;
-    shards_[k]->commits_since_sync = 0;
-  }
-  Status status = coordinator_->Create();
-  if (!status.ok()) {
-    EnterDegradedLocked(status);
-    return status;
-  }
-  coordinator_unsynced_ = 0;
-  coordinator_good_ = true;
-  commits_since_checkpoint_ = 0;
-  return Status::Ok();
-}
-
-Status ShardedExecutor::CompactStorage() {
-  // Same quiesce-then-truncate protocol as Checkpoint, with the image
-  // write replaced by a full segment rewrite + manifest swap.
-  WriterMutexLock gate(checkpoint_gate_);
-  std::shared_ptr<const Database> tip;
-  {
+  Status image = full_rewrite ? compact_->Compact(*tip)
+                              : compact_->WriteCheckpoint(*tip);
+  if (!image.ok()) {
+    // The manifest writer may hold a torn tail; only a re-Start() re-arms
+    // it from the validated prefix.
     MutexLock lock(commit_mutex_);
-    if (!started_ || tip_ == nullptr) {
-      return UnavailableError("sharded executor is not running");
-    }
-    if (degraded_) {
-      return UnavailableError("sharded executor is degraded (" +
-                              degraded_reason_.ToString() +
-                              "); repair storage and reopen");
-    }
-    tip = tip_;
-  }
-  if (compact_ == nullptr) {
-    return InvalidArgumentError(
-        "compact storage is not enabled for this executor (start with "
-        "compact_storage = true)");
-  }
-  {
-    Status status = compact_->Compact(*tip);
-    if (!status.ok()) {
-      MutexLock lock(commit_mutex_);
-      EnterDegradedLocked(status);
-      return status;
-    }
+    EnterDegradedLocked(image);
+    return image;
   }
   MutexLock lock(commit_mutex_);
-  // The swapped-in full manifest covers every commit: the logs may
+  // The checkpoint is durable and covers every commit: the logs may
   // restart (a crash in between replays records the manifest skips).
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock wal_lock(shards_[k]->wal_mutex);

@@ -22,10 +22,11 @@ namespace ttra {
 // On-disk layout of a sharded directory
 // ---------------------------------------------------------------------------
 //
-//   dir/MANIFEST         shard count + format version (text, written once)
-//   dir/checkpoint.db    one global checkpoint (SaveDatabase output)
-//   dir/shard-<k>.wal    per-shard write-ahead log, k in [0, shards)
-//   dir/coordinator.log  advisory cross-shard commit order (WAL format)
+//   dir/MANIFEST           shard count + format version (text, written once)
+//   dir/segments.manifest  one global compact checkpoint (CompactStore),
+//   dir/seg-*.seg            with one segment file per relation
+//   dir/shard-<k>.wal      per-shard write-ahead log, k in [0, shards)
+//   dir/coordinator.log    advisory cross-shard commit order (WAL format)
 //
 // Every log file uses the standard WAL framing (storage/wal.h); the record
 // payloads use the kinds below, disjoint from DurableExecutor's 0/1/2 so a
@@ -246,8 +247,9 @@ class ShardedExecutor {
   /// Recovers the merged durable state, publishes the initial snapshot and
   /// starts one writer thread per shard. Call again only after Stop().
   /// kInvalidArgument, before any MANIFEST is written, for a fresh
-  /// directory asked to hold more than kMaxShards shards or for a
-  /// single-writer directory (wal.log without a MANIFEST).
+  /// directory asked to hold more than kMaxShards shards, for a
+  /// single-writer directory (wal.log without a MANIFEST) and for a
+  /// legacy full-image directory (RefuseLegacyLayout).
   Status Start();
 
   /// Closes every queue, commits everything enqueued, joins the writers
@@ -282,21 +284,19 @@ class ShardedExecutor {
   /// every relation until one side changes it).
   Database Snapshot() const;
 
-  /// Quiesces in-flight batches (checkpoint gate), saves one global
-  /// checkpoint covering every shard, then truncates all shard WALs and
-  /// the coordinator log and resets the sequence spaces. Under the
-  /// compact layout the checkpoint image is an incremental manifest
-  /// record instead of a checkpoint.db rewrite; the shard-log truncation
-  /// protocol is unchanged (the manifest sync is the commit point, so
-  /// truncation still strictly follows a durable covering checkpoint).
+  /// Quiesces in-flight batches (checkpoint gate), appends one global
+  /// incremental manifest record covering every shard, then truncates all
+  /// shard WALs and the coordinator log and resets the sequence spaces.
+  /// The manifest sync is the commit point, so truncation strictly
+  /// follows a durable covering checkpoint.
   Status Checkpoint();
 
-  /// Online segment vacuum (compact layout only): like Checkpoint, but
-  /// rewrites every segment at a fresh generation and swaps a one-record
-  /// full manifest over the chain. Reader sessions are untouched.
+  /// Online segment vacuum: like Checkpoint, but rewrites every segment at
+  /// a fresh generation and swaps a one-record full manifest over the
+  /// chain. Reader sessions are untouched.
   Status CompactStorage();
 
-  /// The compact store backing the layout (nullptr when legacy).
+  /// The compact store backing the layout; never null.
   CompactStore* compact_store() const { return compact_.get(); }
 
   bool healthy() const;
@@ -403,12 +403,19 @@ class ShardedExecutor {
   /// Recovery: merge shard WALs + coordinator into one database.
   Status Recover(Database& db) TTRA_EXCLUDES(commit_mutex_);
 
+  /// The one body of Checkpoint() and CompactStorage(): quiesce the
+  /// writers behind the exclusive gate, write the checkpoint image (an
+  /// incremental record, or with `full_rewrite` a segment rewrite plus
+  /// manifest swap) with no executor mutex held, then rotate every log.
+  Status QuiesceAndCheckpoint(bool full_rewrite)
+      TTRA_EXCLUDES(commit_mutex_);
+
   Env* env_;
   std::string dir_;
   ShardedOptions options_;
-  /// Non-null iff the compact layout is active; set by Start() before any
-  /// writer runs, internally synchronized (see DurableExecutor::compact_).
-  std::unique_ptr<CompactStore> compact_;
+  /// Created by the constructor and never reset; internally synchronized
+  /// (see DurableExecutor::compact_).
+  const std::unique_ptr<CompactStore> compact_;
   size_t shard_count_ = 0;  ///< effective count (MANIFEST-adopted)
   std::vector<std::unique_ptr<Shard>> shards_;
   bool started_ = false;

@@ -301,28 +301,19 @@ std::string_view SalvageVerdictName(SalvageVerdict verdict) {
 Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
                                   const SalvageOptions& options) {
   SalvageReport report;
-  const std::string checkpoint = dir + "/" + options.checkpoint_file;
   const std::string manifest = dir + "/" + options.manifest_file;
+  const std::string seg_manifest = dir + "/" + options.segment_manifest_file;
 
-  if (env->Exists(checkpoint)) {
-    report.checkpoint_present = true;
-    Result<std::string> data = env->Read(checkpoint);
-    if (!data.ok()) {
-      report.findings.push_back(SalvageFinding{
-          checkpoint, 0, "io-error", data.status().message()});
-      Worsen(report.verdict, SalvageVerdict::kUnrecoverable);
-    } else {
-      Status valid = options.validate_checkpoint
-                         ? options.validate_checkpoint(*data)
-                         : Status::Ok();
-      if (valid.ok()) {
-        report.checkpoint_valid = true;
-      } else {
-        report.findings.push_back(SalvageFinding{
-            checkpoint, 0, "checkpoint-invalid", valid.message()});
-        Worsen(report.verdict, SalvageVerdict::kUnrecoverable);
-      }
-    }
+  // The retired full-image layout: no engine opens it, so there is nothing
+  // to scan against and nothing repair may touch.
+  const std::string legacy = dir + "/" + kLegacyCheckpointFile;
+  if (env->Exists(legacy) && !env->Exists(seg_manifest)) {
+    report.findings.push_back(SalvageFinding{
+        legacy, 0, "legacy-layout",
+        "full-image checkpoint without " + options.segment_manifest_file +
+            "; this layout is no longer read"});
+    Worsen(report.verdict, SalvageVerdict::kUnrecoverable);
+    return report;
   }
 
   // First valid record of the single-writer WAL, for the compact section
@@ -396,7 +387,6 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
   // Compact layout (may coexist with either WAL layout above): scan the
   // manifest chain, fold its valid prefix, then check every referenced
   // segment against its covered watermark.
-  const std::string seg_manifest = dir + "/" + options.segment_manifest_file;
   if (!env->Exists(seg_manifest)) return report;
   report.compact = true;
 
@@ -586,11 +576,6 @@ Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
 std::string FormatSalvageReport(const SalvageReport& report) {
   std::string out;
   out += "verdict: " + std::string(SalvageVerdictName(report.verdict)) + "\n";
-  out += "checkpoint: ";
-  out += !report.checkpoint_present ? "absent"
-         : report.checkpoint_valid  ? "valid"
-                                    : "INVALID";
-  out += "\n";
   if (report.sharded) {
     out += "layout: sharded, " + std::to_string(report.shards) +
            " shard(s)\n";
@@ -682,10 +667,6 @@ std::string SalvageReportToJson(const SalvageReport& report) {
   out += "  \"verdict\": \"" + std::string(SalvageVerdictName(report.verdict)) +
          "\",\n";
   out += "  \"exitCode\": " + std::to_string(SalvageExitCode(report)) + ",\n";
-  out += "  \"checkpointPresent\": " +
-         std::string(report.checkpoint_present ? "true" : "false") + ",\n";
-  out += "  \"checkpointValid\": " +
-         std::string(report.checkpoint_valid ? "true" : "false") + ",\n";
   out += "  \"walPresent\": " +
          std::string(report.wal_present ? "true" : "false") + ",\n";
   out += "  \"walSize\": " + std::to_string(report.wal_size) + ",\n";

@@ -23,9 +23,9 @@ namespace ttra {
 /// leaving a consistent global prefix.
 ///
 /// This layer knows framing and checksums only. Semantic validation — "is
-/// this payload a decodable command record", "do these bytes decode as a
-/// database" — is injected via SalvageOptions callbacks so storage/ never
-/// depends on the rollback layer above it.
+/// this payload a decodable command record" — is injected via
+/// SalvageOptions callbacks so storage/ never depends on the rollback
+/// layer above it.
 
 /// Overall verdict of a scan, ordered by severity. Maps onto the
 /// documented `ttra fsck` / `ttra recover` exit codes via
@@ -40,8 +40,10 @@ enum class SalvageVerdict {
   /// damaged WAL header: intact data may lie beyond the damage, so
   /// recovery refuses until `fsck --repair` decides the cut.
   kNeedsRepair,
-  /// The checkpoint itself is damaged: there is no base state to rebuild
-  /// from, and repair will not fabricate one.
+  /// The checkpoint itself is damaged, or the directory holds the retired
+  /// full-image layout (kLegacyCheckpointFile without a compact
+  /// manifest): there is no base state to rebuild from, and repair will
+  /// not fabricate one.
   kUnrecoverable,
 };
 
@@ -57,8 +59,7 @@ struct SalvageFinding {
 };
 
 struct SalvageOptions {
-  /// File names inside the directory (the DurableExecutor layout).
-  std::string checkpoint_file = "checkpoint.db";
+  /// File name inside the directory (the DurableExecutor layout).
   std::string wal_file = "wal.log";
   /// Sharded (ShardedExecutor) layout: when `manifest_file` exists in the
   /// directory, the scan switches to it — shard count from the manifest,
@@ -72,8 +73,6 @@ struct SalvageOptions {
   /// Same, for sharded WAL / coordinator record payloads (the sharded
   /// commit protocol uses different record kinds).
   std::function<Status(std::string_view payload)> validate_shard_record;
-  /// Semantic validation of the checkpoint bytes. Unset = presence only.
-  std::function<Status(std::string_view data)> validate_checkpoint;
   /// Compact layout (CompactStore): when this file exists in the
   /// directory, the scan also covers the checkpoint manifest chain and
   /// every segment file the folded chain references. Manifest records and
@@ -110,8 +109,6 @@ struct SalvageReport {
   SalvageVerdict verdict = SalvageVerdict::kClean;
   std::vector<SalvageFinding> findings;
 
-  bool checkpoint_present = false;
-  bool checkpoint_valid = false;
   bool wal_present = false;
   /// Aggregates. Single-writer layout: the one wal.log. Sharded layout:
   /// summed over every shard WAL and the coordinator log (per-log detail
@@ -157,7 +154,8 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
 /// "<wal>.quarantine" (overwriting any previous quarantine) and the WAL is
 /// truncated to wal_valid_size. A WAL whose own header is damaged is
 /// quarantined whole and re-created empty. kClean needs nothing;
-/// kUnrecoverable (corrupt checkpoint) is reported but never "repaired".
+/// kUnrecoverable (corrupt checkpoint, legacy layout) is reported but
+/// never "repaired": the directory is left byte-identical.
 Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
                                     const SalvageOptions& options = {});
 

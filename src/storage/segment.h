@@ -26,6 +26,12 @@ namespace ttra {
 /// The manifest of a compact directory (presence marks the layout).
 inline constexpr char kCompactManifestFile[] = "segments.manifest";
 
+/// The full-image checkpoint of the retired legacy layout. No engine
+/// reads or writes it; a directory holding it without a compact manifest
+/// is refused (RefuseLegacyLayout) and reported by fsck, never opened as
+/// an empty database.
+inline constexpr char kLegacyCheckpointFile[] = "checkpoint.db";
+
 /// "seg-<escaped relation name>.<generation>.seg". Escaping keeps names
 /// with path-hostile characters on one flat directory level.
 std::string SegmentFileName(std::string_view relation, uint64_t generation);

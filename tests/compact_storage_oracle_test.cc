@@ -186,8 +186,7 @@ Database RunSerialOracle(const Program& program, std::vector<bool>& acks) {
 }
 
 /// Runs the program through a DurableExecutor, honoring the interleave
-/// schedule (compact-only actions downgrade to plain checkpoints when the
-/// engine runs the legacy layout).
+/// schedule.
 void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
                 const Program& program,
                 const std::vector<Interleave>& schedule,
@@ -211,11 +210,7 @@ void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
         ASSERT_TRUE(exec->Open().ok()) << "reopen after sentence " << i;
         break;
       case Interleave::kCompactStorage:
-        if (options.compact_storage) {
-          ASSERT_TRUE(exec->CompactStorage().ok());
-        } else {
-          ASSERT_TRUE(exec->Checkpoint().ok());
-        }
+        ASSERT_TRUE(exec->CompactStorage().ok());
         break;
     }
   }
@@ -300,7 +295,6 @@ void RunCompactOracleSeed(uint64_t seed) {
   InMemoryEnv env;
   const std::string dir = "compact";
   DurableOptions compact_options;
-  compact_options.compact_storage = true;
   compact_options.compact.keyframe_interval = 3;  // short replay chains
   std::vector<bool> compact_acks;
   RunDurable(&env, dir, compact_options, program, schedule, compact_acks);
@@ -340,27 +334,26 @@ void RunCompactOracleSeed(uint64_t seed) {
   ASSERT_EQ(oracle_bytes, EncodeDatabase(*cacheless_db));
   VerifyRollbackEquality(oracle, *cacheless_db);
 
-  // --- legacy layout + migration -------------------------------------------
+  // --- legacy full-image layout: refused, never migrated -------------------
+  // The oracle database as a retired checkpoint.db. Neither engine may
+  // read it as an empty database or write a byte beside it.
   const std::string legacy_dir = "legacy";
-  DurableOptions legacy_options;  // full-copy checkpoint.db
-  std::vector<bool> legacy_acks;
-  RunDurable(&env, legacy_dir, legacy_options, program, schedule,
-             legacy_acks);
-  ASSERT_EQ(oracle_acks, legacy_acks);
-  ASSERT_FALSE(CompactStore::IsCompactDir(env, legacy_dir));
-
-  DurableOptions migrate = compact_options;
-  DurableExecutor migrated(&env, legacy_dir, migrate);
-  ASSERT_TRUE(migrated.Open().ok());
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(migrated.Snapshot()));
-  ASSERT_TRUE(CompactStore::IsCompactDir(env, legacy_dir));
-  ASSERT_FALSE(env.Exists(legacy_dir + "/checkpoint.db"));
-
-  // Once migrated, a flagless reopen adopts the compact layout.
-  DurableExecutor adopted(&env, legacy_dir, DurableOptions{});
-  ASSERT_TRUE(adopted.Open().ok());
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(adopted.Snapshot()));
-  ASSERT_NE(adopted.compact_store(), nullptr);
+  ASSERT_TRUE(
+      SaveDatabase(oracle, legacy_dir + "/" + kLegacyCheckpointFile, &env)
+          .ok());
+  const Result<std::string> legacy_bytes =
+      env.Read(legacy_dir + "/" + kLegacyCheckpointFile);
+  ASSERT_TRUE(legacy_bytes.ok());
+  DurableExecutor durable(&env, legacy_dir, compact_options);
+  Status refused = durable.Open();
+  ASSERT_EQ(refused.code(), ErrorCode::kInvalidArgument) << refused;
+  ShardedExecutor sharded(&env, legacy_dir);
+  refused = sharded.Start();
+  ASSERT_EQ(refused.code(), ErrorCode::kInvalidArgument) << refused;
+  ASSERT_EQ(*env.List(legacy_dir),
+            std::vector<std::string>{kLegacyCheckpointFile});
+  ASSERT_EQ(*env.Read(legacy_dir + "/" + kLegacyCheckpointFile),
+            *legacy_bytes);
 }
 
 class CompactStorageOracleTest : public ::testing::TestWithParam<int> {};
@@ -401,7 +394,6 @@ void RunGroupCommitCompactSeed(uint64_t seed) {
     const std::string dir = "sharded-" + std::to_string(shards);
     ShardedOptions options;
     options.shards = shards;
-    options.durable.compact_storage = true;
     options.durable.compact.keyframe_interval = 3;
     ShardedExecutor exec(&env, dir, options);
     ASSERT_TRUE(exec.Start().ok());

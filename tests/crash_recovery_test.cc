@@ -518,7 +518,7 @@ TEST(CrashRecoveryTest, TornTailIsReportedByRecovery) {
   EXPECT_EQ(recovered.transaction_number(), 1u);
 }
 
-TEST(CrashRecoveryTest, CheckpointTruncatesWalAndPreservesState) {
+TEST(CrashRecoveryTest, CompactStorageTruncatesWalAndPreservesState) {
   InMemoryEnv env;
   DurableExecutor exec(&env, "d", DurableOptions{});
   ASSERT_TRUE(exec.Open().ok());
@@ -531,8 +531,14 @@ TEST(CrashRecoveryTest, CheckpointTruncatesWalAndPreservesState) {
     }
   }
   const std::string want = EncodeDatabase(exec.Snapshot());
+  // A checkpoint keeps the log (it is the salvage baseline) ...
   ASSERT_TRUE(exec.Checkpoint().ok());
   auto wal = ReadWal(env, "d/wal.log");
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ(wal->records.size(), steps.size());
+  // ... and the storage compaction is what truncates it.
+  ASSERT_TRUE(exec.CompactStorage().ok());
+  wal = ReadWal(env, "d/wal.log");
   ASSERT_TRUE(wal.ok());
   EXPECT_TRUE(wal->records.empty());  // all state now in the checkpoint
 
@@ -573,9 +579,9 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   Env* env = Env::Default();
   const std::string dir = ::testing::TempDir() + "/ttra_crash_posix";
   // Start from a clean directory: TempDir persists across test runs.
-  for (const char* file : {"/wal.log", "/checkpoint.db", "/checkpoint.db.tmp"}) {
-    if (env->Exists(dir + file)) {
-      ASSERT_TRUE(env->Remove(dir + file).ok());
+  if (Result<std::vector<std::string>> files = env->List(dir); files.ok()) {
+    for (const std::string& file : *files) {
+      ASSERT_TRUE(env->Remove(dir + "/" + file).ok());
     }
   }
   DurableOptions options;
@@ -598,22 +604,48 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   EXPECT_GT(recovered.last_recovery().replayed_records, 0u);
 }
 
-// --- Group commit ---------------------------------------------------------
+// --- Group commit records ---------------------------------------------
 //
-// A group commit is ONE checksummed WAL record, so its durability contract
-// is stronger than "prefix of sentences": recovery must land on a prefix
-// of WHOLE batches — a crash mid-batch yields the state before the batch,
-// never a torn one — and every acknowledged batch (kAlways) survives.
+// No engine writes the single-writer group record (kKindGroup) any more,
+// but older wal.log directories hold them and Open() still replays them.
+// One record is one checksum, so its durability contract is stronger than
+// "prefix of sentences": recovery must land on a prefix of WHOLE batches
+// (a crash mid-batch yields the state before the batch, never a torn one)
+// and every synced batch survives. The sweep writes the records itself,
+// in the format older releases wrote, and recovers through Open().
 
-std::vector<std::vector<GroupEntry>> WorkloadBatches(
-    const std::vector<Step>& steps, size_t batch_size) {
-  std::vector<std::vector<GroupEntry>> batches;
-  for (size_t i = 0; i < steps.size(); i += batch_size) {
-    std::vector<GroupEntry> batch;
-    for (size_t j = i; j < std::min(i + batch_size, steps.size()); ++j) {
-      batch.push_back(GroupEntry{steps[j].sentence, steps[j].atomic});
+void PutU64(uint64_t v, std::string& out) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// Applies `batch` to `db` with each entry's submit mode and returns the
+/// group record that logs it: [u8 2][u64 count], then per entry
+/// [u8 atomic][u64 pre_txn][u64 n][n commands].
+std::string StageGroupRecord(const std::vector<Step>& batch, Database& db) {
+  std::string out;
+  out.push_back(2);
+  PutU64(batch.size(), out);
+  for (const Step& step : batch) {
+    out.push_back(static_cast<char>(step.atomic ? 1 : 0));
+    PutU64(db.transaction_number(), out);
+    PutU64(step.sentence.size(), out);
+    for (const Command& command : step.sentence) EncodeCommand(command, out);
+    if (step.atomic) {
+      Database scratch = db.Clone();
+      if (ApplySentence(scratch, step.sentence).ok()) db = std::move(scratch);
+    } else {
+      ApplySentence(db, step.sentence).IgnoreError();
     }
-    batches.push_back(std::move(batch));
+  }
+  return out;
+}
+
+std::vector<std::vector<Step>> WorkloadBatches(const std::vector<Step>& steps,
+                                               size_t batch_size) {
+  std::vector<std::vector<Step>> batches;
+  for (size_t i = 0; i < steps.size(); i += batch_size) {
+    batches.emplace_back(steps.begin() + i,
+                         steps.begin() + std::min(i + batch_size, steps.size()));
   }
   return batches;
 }
@@ -627,9 +659,16 @@ std::vector<size_t> BatchBoundaries(size_t total_steps, size_t batch_size) {
   return boundaries;
 }
 
+/// Appends one synced group record per batch to the wal.log of a directory
+/// Open() created, with a fault armed at op `fault_at` (0 = none). With
+/// `checkpoint_every` > 0 a compact checkpoint of the staged state is also
+/// written once that many sentences have been logged since the last one,
+/// so recovery must skip the group entries the checkpoint covers. The
+/// first failed write is the crash; recovery must equal a whole-batch
+/// prefix holding every synced batch.
 void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
-                        const DurableOptions& options,
-                        const std::vector<std::vector<GroupEntry>>& batches,
+                        size_t checkpoint_every,
+                        const std::vector<std::vector<Step>>& batches,
                         const std::vector<std::string>& oracle,
                         const std::vector<size_t>& boundaries,
                         uint64_t* total_ops = nullptr) {
@@ -637,26 +676,30 @@ void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
                (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
                                                               : " (torn)"));
   FaultInjectionEnv env;
-  auto exec = std::make_unique<DurableExecutor>(&env, "g", options);
-  ASSERT_TRUE(exec->Open().ok());
+  ASSERT_TRUE(DurableExecutor(&env, "g").Open().ok());
+  CompactStore store(&env, "g");
+  Result<Database> staged = store.Load(DatabaseOptions{});
+  ASSERT_TRUE(staged.ok()) << staged.status();
+  WalWriter wal(&env, "g/wal.log");
+  ASSERT_TRUE(wal.OpenForAppend().ok());
   if (fault_at != 0) env.InjectFault(fault_at, mode);
 
   size_t acked_batches = 0;
+  size_t since_checkpoint = 0;
   for (const auto& batch : batches) {
-    std::vector<Result<TransactionNumber>> results = exec->SubmitGroup(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    bool io_failed = false;
-    for (const auto& r : results) {
-      if (!r.ok() && IsIoFailure(r.status())) io_failed = true;
-    }
-    if (io_failed) break;  // "crash": the whole batch is unacknowledged
+    const std::string record = StageGroupRecord(batch, *staged);
+    if (!wal.AddRecord(record).ok() || !wal.Sync().ok()) break;  // "crash"
     ++acked_batches;
+    since_checkpoint += batch.size();
+    if (checkpoint_every != 0 && since_checkpoint >= checkpoint_every) {
+      if (!store.WriteCheckpoint(*staged).ok()) break;
+      since_checkpoint = 0;
+    }
   }
   if (total_ops != nullptr) *total_ops = env.op_count();
 
-  exec.reset();
   env.Crash();
-  DurableExecutor recovered(&env, "g", options);
+  DurableExecutor recovered(&env, "g");
   ASSERT_TRUE(recovered.Open().ok());
 
   // The recovered state must sit on a batch boundary — matching a
@@ -673,7 +716,7 @@ void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
   ASSERT_LT(matched_boundary, boundaries.size())
       << "recovered database is not a whole-batch prefix (torn batch?)";
   EXPECT_GE(matched_boundary, acked_batches)
-      << "recovery lost an acknowledged group commit";
+      << "recovery lost a synced group record";
 
   const TransactionNumber resumed = recovered.transaction_number();
   auto txn = recovered.Submit(Command(DefineRelationCmd{
@@ -682,39 +725,31 @@ void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
   EXPECT_EQ(*txn, resumed + 1);
 }
 
-TEST_P(CrashRecoveryTest, EveryGroupFaultPointRecoversWholeBatches) {
+void RunGroupSweep(FaultInjectionEnv::FaultMode mode,
+                   size_t checkpoint_every) {
   const std::vector<Step> steps = Workload();
   const std::vector<std::string> oracle = OraclePrefixStates(steps);
   constexpr size_t kBatchSize = 3;
   const auto batches = WorkloadBatches(steps, kBatchSize);
   const auto boundaries = BatchBoundaries(steps.size(), kBatchSize);
-  DurableOptions options;  // kAlways
 
   uint64_t total_ops = 0;
-  RunGroupCrashPoint(0, GetParam(), options, batches, oracle, boundaries,
+  RunGroupCrashPoint(0, mode, checkpoint_every, batches, oracle, boundaries,
                      &total_ops);
   ASSERT_GT(total_ops, 0u);
   for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunGroupCrashPoint(n, GetParam(), options, batches, oracle, boundaries);
+    RunGroupCrashPoint(n, mode, checkpoint_every, batches, oracle,
+                       boundaries);
   }
 }
 
-TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
-  constexpr size_t kBatchSize = 3;
-  const auto batches = WorkloadBatches(steps, kBatchSize);
-  const auto boundaries = BatchBoundaries(steps.size(), kBatchSize);
-  DurableOptions options;
-  options.checkpoint_every = 2;  // checkpoint + WAL truncation mid-stream
+TEST_P(CrashRecoveryTest, EveryGroupFaultPointRecoversWholeBatches) {
+  RunGroupSweep(GetParam(), /*checkpoint_every=*/0);
+}
 
-  uint64_t total_ops = 0;
-  RunGroupCrashPoint(0, GetParam(), options, batches, oracle, boundaries,
-                     &total_ops);
-  ASSERT_GT(total_ops, 0u);
-  for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunGroupCrashPoint(n, GetParam(), options, batches, oracle, boundaries);
-  }
+TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
+  // A checkpoint mid-stream: replay must skip the covered entries.
+  RunGroupSweep(GetParam(), /*checkpoint_every=*/2);
 }
 
 // Crash under full concurrency: producers race the single-shard
@@ -769,8 +804,8 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
     // committed batches chain by base transaction number from the
     // checkpoint up to the first gap.
     Database oracle_db(options.durable.db);
-    if (env.Exists("c/checkpoint.db")) {
-      auto loaded = LoadDatabase("c/checkpoint.db", options.durable.db, &env);
+    if (CompactStore checkpoint(&env, "c"); checkpoint.Exists()) {
+      auto loaded = checkpoint.Load(options.durable.db);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
       oracle_db = *std::move(loaded);
     }

@@ -44,7 +44,6 @@ TEST(SalvageScanTest, CleanDirectoryIsClean) {
   EXPECT_EQ(report->verdict, SalvageVerdict::kClean);
   EXPECT_TRUE(report->findings.empty());
   EXPECT_TRUE(report->wal_present);
-  EXPECT_FALSE(report->checkpoint_present);
   EXPECT_EQ(report->wal_valid_records, 2u);
   EXPECT_EQ(report->wal_valid_size, report->wal_size);
   EXPECT_EQ(SalvageExitCode(*report), 0);
@@ -152,24 +151,31 @@ TEST(SalvageRepairTest, DamagedHeaderQuarantinesTheWholeFile) {
 }
 
 TEST(SalvageScanTest, InvalidCheckpointIsUnrecoverable) {
+  // A legacy full-image checkpoint.db (no segments.manifest) is a layout
+  // no engine reads any more: one finding naming the file, whatever it
+  // holds, and exit 4.
   InMemoryEnv env;
-  MakeWal(&env, "d", {"r0"});
+  const std::string wal = MakeWal(&env, "d", {"r0"});
   Overwrite(&env, "d/checkpoint.db", "not a checkpoint");
-  SalvageOptions options;
-  options.validate_checkpoint = [](std::string_view data) {
-    return DecodeDatabase(data).status();
-  };
-  auto report = ScanStorage(&env, "d", options);
+  auto report = ScanStorage(&env, "d");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->verdict, SalvageVerdict::kUnrecoverable);
-  EXPECT_TRUE(report->checkpoint_present);
-  EXPECT_FALSE(report->checkpoint_valid);
+  ASSERT_EQ(report->findings.size(), 1u);
+  EXPECT_EQ(report->findings[0].file, "d/checkpoint.db");
+  EXPECT_EQ(report->findings[0].cause, "legacy-layout");
   EXPECT_EQ(SalvageExitCode(*report), 4);
-  // Repair will not fabricate a base state: nothing is touched.
-  auto repair = RepairStorage(&env, "d", options);
+  EXPECT_NE(FormatSalvageReport(*report).find("d/checkpoint.db"),
+            std::string::npos);
+  // Repair will not fabricate a base state: the directory stays
+  // byte-identical.
+  auto repair = RepairStorage(&env, "d");
   ASSERT_TRUE(repair.ok());
   EXPECT_FALSE(repair->repaired);
-  EXPECT_FALSE(env.Exists("d/wal.log.quarantine"));
+  EXPECT_EQ(SalvageExitCode(*repair), 4);
+  EXPECT_EQ(*env.Read("d/wal.log"), wal);
+  EXPECT_EQ(*env.Read("d/checkpoint.db"), "not a checkpoint");
+  EXPECT_EQ(*env.List("d"),
+            (std::vector<std::string>{"checkpoint.db", "wal.log"}));
 }
 
 TEST(SalvageScanTest, SemanticValidatorCutsAtChecksummedGarbage) {
@@ -252,9 +258,6 @@ SalvageOptions ExecutorSalvageOptions() {
   options.validate_record = [](std::string_view payload) {
     return DecodeWalRecord(payload).status();
   };
-  options.validate_checkpoint = [](std::string_view data) {
-    return DecodeDatabase(data).status();
-  };
   return options;
 }
 
@@ -319,9 +322,6 @@ SalvageOptions ShardedSalvageOptions() {
   SalvageOptions options;
   options.validate_shard_record = [](std::string_view payload) {
     return DecodeShardRecord(payload).status();
-  };
-  options.validate_checkpoint = [](std::string_view data) {
-    return DecodeDatabase(data).status();
   };
   return options;
 }
@@ -538,7 +538,6 @@ SalvageOptions CompactSalvageOptions() {
 
 DurableOptions CompactExecutorOptions() {
   DurableOptions options;
-  options.compact_storage = true;
   options.compact.keyframe_interval = 3;
   return options;
 }

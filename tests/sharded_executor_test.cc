@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -166,6 +167,78 @@ TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
   ASSERT_TRUE(reopened.Start().ok());
   EXPECT_NE(reopened.Snapshot().Find("emp"), nullptr);
   reopened.Stop();
+}
+
+/// Every file of `dir` with its bytes.
+std::map<std::string, std::string> DirImage(const Env& env,
+                                            const std::string& dir) {
+  std::map<std::string, std::string> image;
+  const std::vector<std::string> names = *env.List(dir);
+  for (const std::string& name : names) {
+    image[name] = *env.Read(dir + "/" + name);
+  }
+  return image;
+}
+
+/// Rewrites a live directory into the retired full-image layout: its
+/// compact checkpoint is replaced by checkpoint.db holding `db`, and every
+/// log is left as it is.
+void MakeLegacyLayout(Env* env, const std::string& dir, const Database& db) {
+  const std::vector<std::string> names = *env->List(dir);
+  for (const std::string& name : names) {
+    if (name == kCompactManifestFile || IsSegmentFileName(name)) {
+      ASSERT_TRUE(env->Remove(dir + "/" + name).ok());
+    }
+  }
+  ASSERT_TRUE(
+      SaveDatabase(db, dir + "/" + kLegacyCheckpointFile, env).ok());
+}
+
+TEST(ShardLayoutTest, RefusesLegacyCheckpointDirectory) {
+  // Read as an empty database, this directory's shard-log commits would
+  // all lie beyond the first gap: recovery would drop them and truncate
+  // the logs. It must be refused with every byte left in place.
+  InMemoryEnv env;
+  {
+    ShardedExecutor exec(&env, "db", FastOptions(2));
+    ASSERT_TRUE(exec.Start().ok());
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    ASSERT_TRUE(exec.Checkpoint().ok());
+    ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
+                        "emp", EmpState({{"ed", 100}})}})
+                    .ok());
+    exec.Stop();
+    MakeLegacyLayout(&env, "db", Database());
+  }
+  const auto before = DirImage(env, "db");
+  ShardedExecutor exec(&env, "db", FastOptions(2));
+  const Status status = exec.Start();
+  ASSERT_EQ(status.code(), ErrorCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("checkpoint.db"), std::string::npos);
+  EXPECT_EQ(DirImage(env, "db"), before);
+}
+
+TEST(ShardLayoutTest, SingleWriterRefusesLegacyCheckpointDirectory) {
+  InMemoryEnv env;
+  Database checkpointed;
+  {
+    DurableExecutor single(&env, "db", DurableOptions{});
+    ASSERT_TRUE(single.Open().ok());
+    ASSERT_TRUE(single
+                    .Submit(Command{DefineRelationCmd{
+                        "emp", RelationType::kRollback, EmpSchema()}})
+                    .ok());
+    checkpointed = single.Snapshot();
+    MakeLegacyLayout(&env, "db", checkpointed);
+  }
+  const auto before = DirImage(env, "db");
+  DurableExecutor single(&env, "db", DurableOptions{});
+  const Status status = single.Open();
+  ASSERT_EQ(status.code(), ErrorCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("checkpoint.db"), std::string::npos);
+  EXPECT_EQ(DirImage(env, "db"), before);
 }
 
 TEST(ShardedExecutorTest, CommitsRouteToHomeShardsAndReadersSeeOneChain) {

@@ -185,9 +185,6 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
   fsck.validate_record = [](std::string_view payload) {
     return DecodeWalRecord(payload).status();
   };
-  fsck.validate_checkpoint = [](std::string_view data) {
-    return DecodeDatabase(data).status();
-  };
   auto repaired = RepairStorage(&env, "d", fsck);
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   ASSERT_TRUE(repaired->repaired);
@@ -249,7 +246,6 @@ TEST_P(VacuumPropertyTest, VacuumThenAttachIsIdentityForRollbackAnswers) {
 TEST(OnlineCompactionTest, CompactionRacesWritersReadersAndProbes) {
   InMemoryEnv env;
   ShardedOptions options;
-  options.durable.compact_storage = true;
   options.durable.compact.keyframe_interval = 4;
   options.group_commit.max_latency = std::chrono::microseconds(50);
   ShardedExecutor exec(&env, "db", options);

@@ -21,7 +21,7 @@
 #                             # (IO-under-lock, epoch-escape, hot-path
 #                             # allocation budget, WAL-kind
 #                             # exhaustiveness) + fixture must-fail checks
-#   tools/check.sh --compact  # compact-storage property oracle (label
+#   tools/check.sh --compact  # compact store property oracle (label
 #                             # `compact`) with a deep seed sweep
 #
 # Run from the repository root. Build trees go to build/ (normal),
@@ -198,7 +198,7 @@ if [ "$do_compact" -eq 1 ]; then
   # — byte-equal databases after reopen, ρ(I, N) probe equality at every
   # epoch, FINDSTATE-cache-on/off agreement — across the Serial and
   # Durable executors and the Sharded executor at 1 and 3 shards, plus
-  # legacy-directory migration.
+  # the refusal of a legacy checkpoint.db directory.
   TTRA_ORACLE_SEEDS="${TTRA_ORACLE_SEEDS:-100}" \
   run_pass build compact
 fi
@@ -300,11 +300,12 @@ if [ "$do_bench" -eq 1 ]; then
   ./build-release/bench/bench_concurrent \
     --benchmark_min_time=0.05 \
     --benchmark_out=BENCH_concurrent.json --benchmark_out_format=json
-  # Experiment E17: compact segment engine vs full-copy checkpoint.db —
-  # bytes appended per transaction and FINDSTATE probe latency.
+  # Experiment E17: compact segment engine vs full-copy database images —
+  # bytes appended per transaction and FINDSTATE probe latency (three
+  # repetitions: the JSON carries median and CV).
   ./build-release/bench/bench_storage \
     --benchmark_filter='BM_BytesPerTxn|BM_FindStateProbe' \
-    --benchmark_min_time=0.05 \
+    --benchmark_min_time=0.05 --benchmark_repetitions=3 \
     --benchmark_out=BENCH_storage.json --benchmark_out_format=json
 fi
 

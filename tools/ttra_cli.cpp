@@ -3,7 +3,7 @@
 //   ttra run <script> [--db <file>] [--save <file>] [--lax] [--optimize]
 //                     [--explain] [--wal-dir <dir>] [--fresh] [--recover]
 //                     [--group-commit] [--sessions <n>] [--batch <k>]
-//                     [--shards <n>] [--compact-storage]
+//                     [--shards <n>]
 //   ttra check <script> [--json] [--werror] [--help]
 //   ttra describe --db <file>
 //   ttra vacuum --db <file> --relation <name> --before <txn>
@@ -29,10 +29,11 @@
 // operator tree (after optimization, if enabled) without special casing.
 //
 // With --wal-dir, `run` executes durably: state is recovered from the
-// directory's checkpoint + write-ahead log, and every update is logged and
-// fsync'ed before it is acknowledged, so a crash mid-script loses nothing
-// that was reported committed. --fresh discards any previous state in the
-// directory first; --recover prints a recovery report before running.
+// directory's compact checkpoint + write-ahead log, and every update is
+// logged and fsync'ed before it is acknowledged, so a crash mid-script
+// loses nothing that was reported committed. --fresh discards any
+// previous state in the directory first; --recover prints a recovery
+// report before running.
 // `recover` just recovers, reports, and (with --save) exports a plain
 // database file. It refuses mid-log corruption (intact records stranded
 // beyond a damaged one) instead of silently replaying a hole; `fsck`
@@ -59,15 +60,18 @@
 // start in a fresh directory. Likewise a plain --wal-dir run refuses a
 // directory holding a MANIFEST. Malformed counts exit 2.
 //
-// With --compact-storage, durable checkpoints use the compact layout
-// (DESIGN.md §16): per-relation delta-encoded segment files chained by
-// segments.manifest instead of full-copy checkpoint.db images. A
-// directory that already has the compact layout is adopted regardless of
-// the flag; a legacy directory is migrated on the first checkpoint.
-// `vacuum --wal-dir` compacts such a directory online — it rewrites every
-// segment chain to a single keyframe, collapses the manifest chain to one
-// full record, and truncates the WAL, all without blocking pinned
-// readers. `recover` and `fsck` detect the compact layout automatically.
+// Durable checkpoints use the compact layout (DESIGN.md §16):
+// per-relation delta-encoded segment files chained by segments.manifest.
+// A directory holding a legacy full-image checkpoint.db without that
+// manifest is refused by `run` and `recover` and reported unrecoverable by
+// `fsck`; nothing touches it. `vacuum --wal-dir` compacts a directory
+// online — it rewrites every segment chain to a single keyframe,
+// collapses the manifest chain to one full record, and truncates the WAL,
+// all without blocking pinned readers.
+//
+// Every flag is either a switch or takes one value; an unknown --flag is
+// a usage error (exit 2), so a misspelt switch cannot swallow the next
+// argument.
 //
 // `modelcheck` runs the deterministic schedule explorer (src/modelcheck)
 // over the commit-protocol scenarios: every interleaving of the scaled-down
@@ -78,6 +82,7 @@
 // with a deliberately broken durability watermark and the exit codes
 // invert: 0 = the bug was caught (expected), 1 = it escaped.
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <future>
@@ -85,6 +90,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -134,8 +140,13 @@ struct Flags {
   bool help = false;
   bool repair = false;
   bool seeded_bug = false;
-  bool compact_storage = false;
 };
+
+/// The flags that take a value (`--key value`).
+constexpr std::string_view kValueFlags[] = {
+    "archive", "batch", "before", "db", "max-schedules", "max-steps",
+    "preemptions", "relation", "replay", "save", "scenario", "sessions",
+    "shards", "wal-dir"};
 
 bool ParseFlags(int argc, char** argv, Flags& flags) {
   for (int i = 1; i < argc; ++i) {
@@ -162,9 +173,12 @@ bool ParseFlags(int argc, char** argv, Flags& flags) {
       flags.repair = true;
     } else if (arg == "--seeded-bug") {
       flags.seeded_bug = true;
-    } else if (arg == "--compact-storage") {
-      flags.compact_storage = true;
     } else if (arg.rfind("--", 0) == 0) {
+      if (std::find(std::begin(kValueFlags), std::end(kValueFlags),
+                    arg.substr(2)) == std::end(kValueFlags)) {
+        std::cerr << "ttra: unknown flag " << arg << "\n";
+        return false;
+      }
       if (i + 1 >= argc) {
         std::cerr << "ttra: flag " << arg << " needs a value\n";
         return false;
@@ -284,6 +298,9 @@ void ReportRecovery(TransactionNumber txn,
 }
 
 Status ResetWalDir(Env* env, const std::string& wal_dir) {
+  // --fresh must not half-delete a legacy directory that the executors
+  // would then refuse: refuse it whole, before anything is removed.
+  TTRA_RETURN_IF_ERROR(RefuseLegacyLayout(*env, wal_dir));
   if (IsShardedDir(*env, wal_dir)) {
     // Shard count from the manifest when readable. A reset must also work
     // when the manifest is itself the corrupt part, so on a read failure
@@ -319,16 +336,12 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
       TTRA_RETURN_IF_ERROR(env->Remove(path));
     }
   }
-  for (const char* name : {"wal.log", "checkpoint.db", "checkpoint.db.tmp"}) {
-    const std::string path = wal_dir + "/" + std::string(name);
-    if (!env->Exists(path)) continue;
-    TTRA_RETURN_IF_ERROR(env->Remove(path));
-  }
-  // Compact-storage layout: the checkpoint manifest chain plus every
+  // The single-writer log, plus the checkpoint manifest chain and every
   // segment file in the directory (a reset must also sweep generations a
-  // damaged manifest no longer references) and their quarantined remains.
+  // damaged manifest no longer references) and their quarantined
+  // remains.
   for (const std::string& name :
-       {std::string(kCompactManifestFile),
+       {std::string("wal.log"), std::string(kCompactManifestFile),
         std::string(kCompactManifestFile) + ".quarantine",
         std::string(kCompactManifestFile) + ".tmp"}) {
     const std::string path = wal_dir + "/" + name;
@@ -495,7 +508,6 @@ int CmdRunConcurrent(const Flags& flags, const std::string& wal_dir) {
     return UsageError("--shards expects a shard count from 1 to " +
                       std::to_string(kMaxShards));
   }
-  options.durable.compact_storage = flags.compact_storage;
 
   Env* env = Env::Default();
   if (flags.fresh) {
@@ -547,9 +559,7 @@ int CmdRunDurable(const Flags& flags, const std::string& wal_dir) {
     Status reset = ResetWalDir(env, wal_dir);
     if (!reset.ok()) return Fail("cannot reset state: " + reset.ToString());
   }
-  DurableOptions options;
-  options.compact_storage = flags.compact_storage;
-  DurableExecutor exec(env, wal_dir, options);
+  DurableExecutor exec(env, wal_dir);
   Status opened = exec.Open();
   if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
   if (flags.recover) ReportRecovery(exec);
@@ -591,7 +601,7 @@ int CmdRun(const Flags& flags) {
     return Fail("usage: ttra run <script> [--db f] [--save f] [--lax] "
                 "[--optimize] [--explain] [--wal-dir d] [--fresh] "
                 "[--recover] [--group-commit] [--sessions n] [--batch k] "
-                "[--shards n] [--compact-storage]");
+                "[--shards n]");
   }
   auto wal_dir = flags.values.find("wal-dir");
   if (flags.group_commit || flags.values.count("sessions") ||
@@ -697,9 +707,7 @@ int CmdDescribe(const Flags& flags) {
 /// executor. Rewrites every relation's segment chain to a single keyframe
 /// at the current tip, collapses the manifest chain to one full record,
 /// and truncates the WAL — readers pinned at older epochs keep their
-/// in-memory states (copy-then-swap; nothing blocks on them). Implies
-/// --compact-storage: a legacy full-copy directory is migrated to the
-/// compact layout by the compaction itself.
+/// in-memory states (copy-then-swap; nothing blocks on them).
 int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
   if (flags.values.count("db") || flags.values.count("relation") ||
       flags.values.count("before")) {
@@ -709,9 +717,7 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
   }
   Env* env = Env::Default();
   if (IsShardedDir(*env, wal_dir)) {
-    ShardedOptions options;
-    options.durable.compact_storage = true;
-    ShardedExecutor exec(env, wal_dir, options);
+    ShardedExecutor exec(env, wal_dir);
     Status started = exec.Start();
     if (!started.ok()) return Fail("recovery failed: " + started.ToString());
     Status compacted = exec.CompactStorage();
@@ -724,9 +730,7 @@ int CmdVacuumOnline(const Flags& flags, const std::string& wal_dir) {
               << exec.transaction_number() << ", ~" << bytes << " bytes)\n";
     return 0;
   }
-  DurableOptions options;
-  options.compact_storage = true;
-  DurableExecutor exec(env, wal_dir, options);
+  DurableExecutor exec(env, wal_dir);
   Status opened = exec.Open();
   if (!opened.ok()) return Fail("recovery failed: " + opened.ToString());
   Status compacted = exec.CompactStorage();
@@ -771,8 +775,7 @@ int CmdVacuum(const Flags& flags) {
 }
 
 /// Salvage with full semantic validation: a WAL record must decode into
-/// logged sentences and the checkpoint must decode into a database, not
-/// merely pass their checksums.
+/// logged sentences, not merely pass its checksum.
 SalvageOptions MakeSalvageOptions() {
   SalvageOptions options;
   options.validate_record = [](std::string_view payload) {
@@ -782,10 +785,6 @@ SalvageOptions MakeSalvageOptions() {
   options.validate_shard_record = [](std::string_view payload) {
     auto decoded = DecodeShardRecord(payload);
     return decoded.ok() ? Status::Ok() : decoded.status();
-  };
-  options.validate_checkpoint = [](std::string_view data) {
-    auto db = DecodeDatabase(data);
-    return db.ok() ? Status::Ok() : db.status();
   };
   // Lets the scan prove that quarantining a damaged compact state is
   // survivable: replay rebuilds from empty iff the first WAL record's
@@ -829,7 +828,8 @@ int CmdFsckHelp() {
       "  2  usage error or the directory cannot be read\n"
       "  3  corruption needs repair: intact records are stranded beyond\n"
       "     the damage (or the log header is damaged); rerun with --repair\n"
-      "  4  unrecoverable: the checkpoint itself is corrupt\n";
+      "  4  unrecoverable: the checkpoint itself is corrupt, or the\n"
+      "     directory holds a legacy checkpoint.db (left untouched)\n";
   return 0;
 }
 
@@ -1001,7 +1001,7 @@ int CmdModelcheck(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, flags)) return 1;
+  if (!ParseFlags(argc, argv, flags)) return 2;
   if (flags.positional.empty()) {
     return Fail(
         "usage: ttra <run|check|describe|vacuum|recover|fsck|modelcheck> ...");
