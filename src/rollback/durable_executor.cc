@@ -101,7 +101,7 @@ DurableExecutor::DurableExecutor(Env* env, std::string dir,
       options_(options),
       exec_(options.db),
       compact_(std::make_unique<CompactStore>(env, dir_, options.compact)),
-      wal_(env, dir_ + "/wal.log") {}
+      wal_(env, dir_ + "/" + kWalFile) {}
 
 Status DurableExecutor::Open() {
   MutexLock lock(commit_mutex_);
@@ -154,8 +154,8 @@ Status DurableExecutor::Open() {
     wal_valid_size = wal.valid_size;
     wal_torn = wal.torn_tail;
     for (const std::string& record : wal.records) {
-      TTRA_RETURN_IF_ERROR(ReplayRecord(db, record));
-      ++last_recovery_.replayed_records;
+      TTRA_ASSIGN_OR_RETURN(const bool applied, ReplayRecord(db, record));
+      if (applied) ++last_recovery_.replayed_records;
     }
   }
 
@@ -221,13 +221,15 @@ Status DurableExecutor::RetryWalOp(const std::function<Status()>& op,
   return status;
 }
 
-Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
+Result<bool> DurableExecutor::ReplayRecord(Database& db,
+                                           std::string_view record) {
   TTRA_ASSIGN_OR_RETURN(std::vector<LoggedSentence> entries,
                         DecodeWalRecord(record));
+  bool applied = false;
   for (const LoggedSentence& entry : entries) {
     if (entry.pre_txn < db.transaction_number()) {
-      // Already covered by the checkpoint (crash between checkpoint
-      // publication and WAL truncation).
+      // Already covered by the checkpoint: the WAL is kept across
+      // checkpoints, so every record below the checkpoint is skipped.
       continue;
     }
     if (entry.pre_txn > db.transaction_number()) {
@@ -240,6 +242,7 @@ Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
     // paths; command-level failures repeat exactly as they happened (the
     // non-atomic status was already decided — and possibly acked — at
     // commit time, so replay drops it on purpose).
+    applied = true;
     if (!entry.atomic) {
       ApplySentence(db, entry.sentence).IgnoreError();
     } else {
@@ -247,7 +250,7 @@ Status DurableExecutor::ReplayRecord(Database& db, std::string_view record) {
       if (ApplySentence(scratch, entry.sentence).ok()) db = std::move(scratch);
     }
   }
-  return Status::Ok();
+  return applied;
 }
 
 Result<TransactionNumber> DurableExecutor::SubmitInternal(

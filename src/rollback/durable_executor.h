@@ -12,6 +12,7 @@
 #include "util/mutex.h"
 #include "rollback/persistence.h"
 #include "rollback/serial_executor.h"
+#include "storage/layout.h"
 #include "storage/wal.h"
 
 namespace ttra {
@@ -67,10 +68,6 @@ struct DurableOptions {
   bool compact_storage = false;
   CompactOptions compact;
 };
-
-/// Marker file of the sharded layout (rollback/sharded_executor.h).
-/// DurableExecutor::Open() refuses a directory that holds one.
-inline constexpr char kShardManifestFile[] = "MANIFEST";
 
 /// One entry of a group commit: a sentence plus its submit mode.
 struct GroupEntry {
@@ -195,12 +192,14 @@ class DurableExecutor {
   /// What the last Open() found.
   struct RecoveryInfo {
     TransactionNumber checkpoint_txn = 0;  ///< txn restored from checkpoint
-    size_t replayed_records = 0;           ///< WAL records applied on top
+    /// WAL records that applied a sentence on top of the checkpoint;
+    /// records it already covers are skipped and not counted.
+    size_t replayed_records = 0;
     bool torn_tail = false;                ///< trailing torn record dropped
   };
   RecoveryInfo last_recovery() const;
 
-  std::string wal_path() const { return dir_ + "/wal.log"; }
+  std::string wal_path() const { return dir_ + "/" + kWalFile; }
   const std::string& dir() const { return dir_; }
 
   /// The compact store backing this executor; never null. The store is
@@ -212,7 +211,8 @@ class DurableExecutor {
   Result<TransactionNumber> SubmitInternal(
       const std::vector<Command>& sentence, bool atomic);
   Status CheckpointLocked() TTRA_REQUIRES(commit_mutex_);
-  Status ReplayRecord(Database& db, std::string_view record);
+  /// Replays one WAL record onto `db`; true iff it applied a sentence.
+  Result<bool> ReplayRecord(Database& db, std::string_view record);
 
   /// Runs a WAL operation with the configured bounded-backoff retry.
   /// `reset_tail` cuts the log back to the last good record boundary

@@ -11,9 +11,6 @@ namespace ttra {
 
 namespace {
 
-constexpr char kManifestMagic[] = "ttra-shards";
-constexpr int kManifestVersion = 1;
-
 void PutU64(uint64_t v, std::string& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -163,36 +160,8 @@ Result<HistoricalState> Session::RollbackHistorical(
   return snapshot_->RollbackHistorical(name, txn);
 }
 
-std::string ShardWalFile(size_t shard) {
-  return "shard-" + std::to_string(shard) + ".wal";
-}
-
 bool IsShardedDir(const Env& env, const std::string& dir) {
   return env.Exists(dir + "/" + kShardManifestFile);
-}
-
-Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir) {
-  TTRA_ASSIGN_OR_RETURN(std::string text,
-                        env.Read(dir + "/" + kShardManifestFile));
-  // Expected exactly: "ttra-shards <version>\nshards <N>\n".
-  const std::string header =
-      std::string(kManifestMagic) + " " + std::to_string(kManifestVersion) +
-      "\nshards ";
-  if (text.rfind(header, 0) != 0 || text.empty() || text.back() != '\n') {
-    return CorruptionError("malformed shard MANIFEST in " + dir);
-  }
-  const std::string number = text.substr(header.size(),
-                                         text.size() - header.size() - 1);
-  if (number.empty() ||
-      number.find_first_not_of("0123456789") != std::string::npos) {
-    return CorruptionError("malformed shard count in " + dir + "/MANIFEST");
-  }
-  const unsigned long shards = std::stoul(number);
-  if (shards == 0 || shards > kMaxShards) {
-    return CorruptionError("implausible shard count " + number + " in " +
-                           dir + "/MANIFEST");
-  }
-  return static_cast<uint32_t>(shards);
 }
 
 size_t ShardOfName(const std::string& name, size_t shards) {
@@ -263,6 +232,26 @@ Result<ShardRecord> DecodeShardRecord(std::string_view payload) {
   return record;
 }
 
+SalvageOptions MakeSalvageOptions() {
+  SalvageOptions options;
+  options.validate_record = [](std::string_view payload) {
+    return DecodeWalRecord(payload).status();
+  };
+  options.validate_shard_record = [](std::string_view payload) {
+    return DecodeShardRecord(payload).status();
+  };
+  options.wal_record_pre_txn =
+      [](std::string_view payload) -> Result<TransactionNumber> {
+    TTRA_ASSIGN_OR_RETURN(std::vector<LoggedSentence> decoded,
+                          DecodeWalRecord(payload));
+    if (decoded.empty()) {
+      return CorruptionError("wal record holds no logged sentence");
+    }
+    return decoded.front().pre_txn;
+  };
+  return options;
+}
+
 ShardedExecutor::ShardedExecutor(Env* env, std::string dir,
                                  ShardedOptions options)
     : env_(env),
@@ -283,7 +272,7 @@ Status ShardedExecutor::Start() {
   // must not be silently adopted: its log would be ignored and every
   // commit in it dropped.
   const std::string manifest_path = dir_ + "/" + kShardManifestFile;
-  if (!env_->Exists(manifest_path) && env_->Exists(dir_ + "/wal.log")) {
+  if (!env_->Exists(manifest_path) && env_->Exists(dir_ + "/" + kWalFile)) {
     return InvalidArgumentError(
         dir_ + " holds a single-writer log (wal.log); recover it with "
         "`ttra recover` (unsharded) or start the sharded executor in a "
@@ -306,11 +295,9 @@ Status ShardedExecutor::Start() {
           std::to_string(shards) + " shards requested; at most " +
           std::to_string(kMaxShards) + " are supported");
     }
-    const std::string text = std::string(kManifestMagic) + " " +
-                             std::to_string(kManifestVersion) + "\nshards " +
-                             std::to_string(shards) + "\n";
     TTRA_RETURN_IF_ERROR(env_->Truncate(manifest_path));
-    TTRA_RETURN_IF_ERROR(env_->Append(manifest_path, text));
+    TTRA_RETURN_IF_ERROR(
+        env_->Append(manifest_path, FormatShardManifest(shards)));
     TTRA_RETURN_IF_ERROR(env_->Sync(manifest_path));
   }
   shard_count_ = shards;

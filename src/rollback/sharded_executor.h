@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rollback/durable_executor.h"
+#include "storage/salvage.h"
 #include "util/bounded_queue.h"
 #include "util/mutex.h"
 #include "util/vthread.h"
@@ -28,28 +29,14 @@ namespace ttra {
 //   dir/shard-<k>.wal      per-shard write-ahead log, k in [0, shards)
 //   dir/coordinator.log    advisory cross-shard commit order (WAL format)
 //
-// Every log file uses the standard WAL framing (storage/wal.h); the record
-// payloads use the kinds below, disjoint from DurableExecutor's 0/1/2 so a
-// sharded record fed to DecodeWalRecord fails loudly and vice versa.
-
-// kShardManifestFile ("MANIFEST") lives in durable_executor.h, whose
-// Open() refuses a sharded directory.
-inline constexpr char kCoordinatorLogFile[] = "coordinator.log";
-
-/// Largest shard count a MANIFEST may record. Start() refuses to create a
-/// directory beyond it; ReadShardManifest treats a larger count as
-/// corruption.
-inline constexpr size_t kMaxShards = 1024;
-
-/// "shard-<k>.wal".
-std::string ShardWalFile(size_t shard);
+// The file names, kMaxShards and the MANIFEST parser live in
+// storage/layout.h, shared with the salvage scan. Every log file uses the
+// standard WAL framing (storage/wal.h); the record payloads use the kinds
+// below, disjoint from DurableExecutor's 0/1/2 so a sharded record fed to
+// DecodeWalRecord fails loudly and vice versa.
 
 /// True iff `dir` holds a sharded layout (a MANIFEST is present).
 bool IsShardedDir(const Env& env, const std::string& dir);
-
-/// Parses dir/MANIFEST; kCorruption on malformed content or a shard count
-/// outside [1, kMaxShards].
-Result<uint32_t> ReadShardManifest(const Env& env, const std::string& dir);
 
 /// Home shard of a relation identifier: FNV-1a(name) % shards. Exposed so
 /// tests and benches can predict (or deliberately spread) placement.
@@ -97,6 +84,12 @@ struct ShardRecord {
 /// Decodes one sharded WAL record payload; kCorruption on malformed input
 /// (including the single-writer kinds 0/1/2, which do not belong here).
 Result<ShardRecord> DecodeShardRecord(std::string_view payload);
+
+/// What `ttra fsck` and `ttra recover` scan with: records validated by the
+/// real decoders, plus the pre-commit transaction number that proves a
+/// damaged compact state rebuildable from wal.log. A frame-only scan
+/// passes SalvageOptions{} instead.
+SalvageOptions MakeSalvageOptions();
 
 /// Deliberate protocol mutations, reachable only from tests and the model
 /// checker (`ttra modelcheck --seeded-bug`). Production code never sets

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "storage/layout.h"
+
 namespace ttra {
 
 namespace {
@@ -43,26 +45,6 @@ std::string EscapeJson(std::string_view text) {
     }
   }
   return out;
-}
-
-/// Minimal parser of the sharded MANIFEST ("ttra-shards 1\nshards <N>\n").
-/// Deliberately local: salvage sits in the storage layer and must not pull
-/// in the executor above it, and the format is two fixed lines.
-Result<uint32_t> ParseShardManifest(std::string_view data) {
-  constexpr std::string_view kMagic = "ttra-shards 1\nshards ";
-  if (data.substr(0, kMagic.size()) != kMagic) {
-    return CorruptionError("malformed shard manifest");
-  }
-  uint32_t shards = 0;
-  size_t i = kMagic.size();
-  for (; i < data.size() && data[i] >= '0' && data[i] <= '9'; ++i) {
-    shards = shards * 10 + static_cast<uint32_t>(data[i] - '0');
-    if (shards > 4096) return CorruptionError("implausible shard count");
-  }
-  if (shards == 0 || i == kMagic.size() || data.substr(i) != "\n") {
-    return CorruptionError("malformed shard manifest");
-  }
-  return shards;
 }
 
 /// Scans one WAL-framed log file; findings and the severity roll-up go to
@@ -301,8 +283,9 @@ std::string_view SalvageVerdictName(SalvageVerdict verdict) {
 Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
                                   const SalvageOptions& options) {
   SalvageReport report;
-  const std::string manifest = dir + "/" + options.manifest_file;
-  const std::string seg_manifest = dir + "/" + options.segment_manifest_file;
+  const std::string manifest = dir + "/" + kShardManifestFile;
+  const std::string seg_manifest = dir + "/" + kCompactManifestFile;
+  const std::string wal = dir + "/" + kWalFile;
 
   // The retired full-image layout: no engine opens it, so there is nothing
   // to scan against and nothing repair may touch.
@@ -310,7 +293,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
   if (env->Exists(legacy) && !env->Exists(seg_manifest)) {
     report.findings.push_back(SalvageFinding{
         legacy, 0, "legacy-layout",
-        "full-image checkpoint without " + options.segment_manifest_file +
+        "full-image checkpoint without " + std::string(kCompactManifestFile) +
             "; this layout is no longer read"});
     Worsen(report.verdict, SalvageVerdict::kUnrecoverable);
     return report;
@@ -326,10 +309,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
     // Sharded layout: shard count from the manifest, then one log report
     // per shard WAL plus the coordinator.
     report.sharded = true;
-    Result<std::string> data = env->Read(manifest);
-    Result<uint32_t> shards =
-        data.ok() ? ParseShardManifest(*data)
-                  : Result<uint32_t>(data.status());
+    Result<uint32_t> shards = ReadShardManifest(*env, dir);
     if (!shards.ok()) {
       // Without the shard count the layout cannot be interpreted; there
       // is no base to rebuild from and repair will not guess one.
@@ -341,7 +321,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
     report.shards = *shards;
     for (uint32_t k = 0; k < *shards; ++k) {
       SalvageLogReport log;
-      const std::string path = dir + "/shard-" + std::to_string(k) + ".wal";
+      const std::string path = dir + "/" + ShardWalFile(k);
       ScanOneLog(env, path, options.validate_shard_record, report, log);
       if (!log.present) {
         // Recovery tolerates a missing shard WAL — its batches become the
@@ -358,15 +338,14 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
     }
     {
       SalvageLogReport log;
-      ScanOneLog(env, dir + "/" + options.coordinator_file,
+      ScanOneLog(env, dir + "/" + kCoordinatorLogFile,
                  options.validate_shard_record, report, log);
       Aggregate(report, log);
       report.logs.push_back(std::move(log));
     }
   } else {
     SalvageLogReport log;
-    ScanOneLog(env, dir + "/" + options.wal_file, options.validate_record,
-               report, log);
+    ScanOneLog(env, wal, options.validate_record, report, log);
     if (log.present) {
       report.wal_present = true;
       report.wal_size = log.size;
@@ -374,8 +353,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
       report.wal_valid_records = log.valid_records;
       report.wal_records_after_hole = log.records_after_hole;
       if (log.valid_records > 0) {
-        Result<WalReadResult> read =
-            ReadWal(*env, dir + "/" + options.wal_file);
+        Result<WalReadResult> read = ReadWal(*env, wal);
         if (read.ok() && !read->records.empty()) {
           first_wal_record = read->records.front();
           have_first_wal_record = true;
@@ -499,8 +477,7 @@ Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
       // checkpointed state, but the scan proved the WAL rebuilds it from
       // the empty database. Move the WHOLE compact state aside (nothing
       // is deleted) so recovery starts from a clean slate.
-      const std::string seg_manifest =
-          dir + "/" + options.segment_manifest_file;
+      const std::string seg_manifest = dir + "/" + kCompactManifestFile;
       uint64_t bytes = 0;
       if (env->Exists(seg_manifest)) {
         if (Result<std::string> data = env->Read(seg_manifest); data.ok()) {
@@ -562,7 +539,7 @@ Result<SalvageReport> RepairStorage(Env* env, const std::string& dir,
 
   if (!report.wal_present) return report;
   SalvageLogReport log;
-  log.file = dir + "/" + options.wal_file;
+  log.file = dir + "/" + kWalFile;
   log.present = true;
   log.size = report.wal_size;
   log.valid_size = report.wal_valid_size;

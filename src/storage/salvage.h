@@ -58,14 +58,10 @@ struct SalvageFinding {
   std::string detail;   ///< human-readable explanation
 };
 
+/// The file names are the layout's own (storage/layout.h, segment.h): a
+/// MANIFEST switches the scan to the shard WALs + coordinator log, and a
+/// segments.manifest adds the compact checkpoint's chain and segments.
 struct SalvageOptions {
-  /// File name inside the directory (the DurableExecutor layout).
-  std::string wal_file = "wal.log";
-  /// Sharded (ShardedExecutor) layout: when `manifest_file` exists in the
-  /// directory, the scan switches to it — shard count from the manifest,
-  /// one log report per shard WAL plus the coordinator log.
-  std::string manifest_file = "MANIFEST";
-  std::string coordinator_file = "coordinator.log";
   /// Semantic validation of one intact WAL record payload; non-OK flags
   /// the record as corrupt even though its checksum matches. Unset =
   /// framing/checksum validation only.
@@ -73,12 +69,6 @@ struct SalvageOptions {
   /// Same, for sharded WAL / coordinator record payloads (the sharded
   /// commit protocol uses different record kinds).
   std::function<Status(std::string_view payload)> validate_shard_record;
-  /// Compact layout (CompactStore): when this file exists in the
-  /// directory, the scan also covers the checkpoint manifest chain and
-  /// every segment file the folded chain references. Manifest records and
-  /// segment entries are validated structurally right here — both formats
-  /// live in the storage layer, so no injection is needed.
-  std::string segment_manifest_file = kCompactManifestFile;
   /// Extracts the pre-commit transaction number of one intact WAL record
   /// payload (the single-writer executor's framing). Damage inside the
   /// compact state's COVERED region forces repair to quarantine the whole

@@ -41,6 +41,7 @@ std::string Header() {
 }  // namespace
 
 Status WalWriter::Create() {
+  good_size_ = 0;  // no header until this returns OK
   TTRA_RETURN_IF_ERROR(env_->Truncate(path_));
   TTRA_RETURN_IF_ERROR(env_->Append(path_, Header()));
   TTRA_RETURN_IF_ERROR(env_->Sync(path_));
@@ -55,8 +56,19 @@ Status WalWriter::OpenForAppend() {
   // The caller has validated the file with ReadWal, so its current size IS
   // a record boundary — the initial known-good boundary for ResetTail().
   TTRA_ASSIGN_OR_RETURN(std::string data, env_->Read(path_));
+  // A header torn at birth reads as an empty log; it must be rewritten
+  // before any frame lands, or the frame would take its place.
+  if (data.size() < kHeaderSize) return Create();
   good_size_ = data.size();
   return Status::Ok();
+}
+
+Status WalWriter::RequireHeader() const {
+  if (good_size_ >= kHeaderSize) return Status::Ok();
+  // A Create() that failed after its truncation: a frame appended now
+  // would sit where the magic belongs and the whole log would read as
+  // corrupt. Refuse until Create() succeeds.
+  return IoError("wal " + path_ + " has no header; Create() it first");
 }
 
 Status WalWriter::ResetTail() {
@@ -74,6 +86,7 @@ void FrameRecord(std::string_view payload, std::string& out) {
 }  // namespace
 
 Status WalWriter::AddRecord(std::string_view payload) {
+  TTRA_RETURN_IF_ERROR(RequireHeader());
   std::string frame;
   frame.reserve(kRecordHeaderSize + payload.size());
   FrameRecord(payload, frame);
@@ -87,6 +100,7 @@ Status WalWriter::AddRecord(std::string_view payload) {
 
 Status WalWriter::AddRecords(const std::vector<std::string>& payloads) {
   if (payloads.empty()) return Status::Ok();
+  TTRA_RETURN_IF_ERROR(RequireHeader());
   size_t total = 0;
   for (const std::string& payload : payloads) {
     total += kRecordHeaderSize + payload.size();

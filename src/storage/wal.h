@@ -34,10 +34,12 @@ class WalWriter {
   [[nodiscard]] Status Create();
 
   /// Positions for appending to an existing log previously validated by
-  /// ReadWal (the file must end at a record boundary).
+  /// ReadWal (the file must end at a record boundary); a log whose header
+  /// was torn at birth is re-created.
   [[nodiscard]] Status OpenForAppend();
 
-  /// Appends one framed record. NOT durable until Sync().
+  /// Appends one framed record. NOT durable until Sync(). Fails without
+  /// writing while the log has no complete header (a failed Create()).
   [[nodiscard]] Status AddRecord(std::string_view payload);
 
   /// Appends several framed records with a single underlying Env append —
@@ -74,6 +76,7 @@ class WalWriter {
   const std::string& path() const { return path_; }
 
  private:
+  Status RequireHeader() const;
   Env* env_;
   std::string path_;
   Stats stats_;

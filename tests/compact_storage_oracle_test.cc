@@ -1,58 +1,51 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "rollback/commands.h"
+#include "oracle_harness.h"
 #include "rollback/compact_store.h"
-#include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
-#include "rollback/serial_executor.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
-#include "storage/serialize.h"
 #include "workload/generator.h"
 
 namespace ttra {
 namespace {
 
-// Compact-storage equivalence oracle (DESIGN.md §16). The paper's
-// semantics IS the full-state-copy model: every transaction appends a
-// complete database state, and ρ(I, N) selects one. The compact engine —
-// delta-encoded segments, incremental manifest chain, interval-indexed
-// probes, online compaction — is an implementation of that spec, so its
-// observable behavior must be indistinguishable from it. This suite makes
-// the claim a property: for each seed, one random command program is
-// executed through a plain SerialExecutor (the spec) and through every
-// durable engine with compact storage enabled, interleaved with random
-// checkpoints, reopens (recovery through CompactStore::Load), and online
-// CompactStorage() calls. The contracts:
+using oracle::Action;
+using oracle::Engine;
+using oracle::EngineUnderTest;
+using oracle::Program;
+using oracle::Schedule;
+using oracle::Step;
+
+// Compact-storage equivalence oracle (DESIGN.md §16), a parameterisation
+// of the oracle harness (DESIGN.md §7). The paper's semantics IS the
+// full-state-copy model: every transaction appends a complete database
+// state, and ρ(I, N) selects one. The compact engine — delta-encoded
+// segments, incremental manifest chain, interval-indexed probes, online
+// compaction — is an implementation of that spec, so its observable
+// behavior must be indistinguishable from it. For each seed, one random
+// command program runs through the serial oracle and through every engine
+// of the harness's list, interleaved with random checkpoints, reopens
+// (recovery through CompactStore::Load) and online CompactStorage()
+// calls. The contracts, on every engine:
 //
-//  1. the final databases are byte-equal (EncodeDatabase) across all
-//     engines, storage layouts, and any interleaving of checkpoint /
-//     reopen / compact — and per-sentence ack outcomes agree;
+//  1. per-sentence ack outcomes agree and the final databases are
+//     byte-equal (EncodeDatabase), live and after recovery;
 //  2. ρ(I, N) answers are equal at EVERY epoch 0..final, both through the
 //     recovered in-memory database and through the on-disk probe path
-//     (ProbeSnapshot/ProbeHistorical), with the probe cache on or off;
-//  3. migrating a legacy full-copy directory to the compact layout (and
-//     the reverse adoption on reopen) preserves byte-equality.
+//     (ProbeSnapshot/ProbeHistorical), with the probe cache on or off and
+//     through a FINDSTATE-cache-less load;
+//  3. a directory holding the retired full-image layout is refused, never
+//     read as an empty database or written beside.
 //
-// Runs as 10 fixed ctest shards that together sweep TTRA_ORACLE_SEEDS
-// seeds (read at RUN time; default 100 — CI's quick lane lowers it to 25,
-// tools/check.sh --stress raises it).
+// The Durable engine and the sharded engines are separate suites over the
+// same seeds. Each runs as 10 fixed ctest shards that together sweep
+// TTRA_ORACLE_SEEDS seeds (read at RUN time; default 100 — CI's quick lane
+// lowers it to 25, tools/check.sh --stress raises it).
 
 constexpr int kOracleShards = 10;
 constexpr int kSentences = 24;
-
-int OracleSeedCount() {
-  const char* env = std::getenv("TTRA_ORACLE_SEEDS");
-  if (env == nullptr) return 100;
-  int n = std::atoi(env);
-  return n > 0 ? n : 100;
-}
 
 struct RelationSpec {
   std::string name;
@@ -60,37 +53,12 @@ struct RelationSpec {
   Schema schema;
 };
 
-struct Sentence {
-  std::vector<Command> commands;
-  bool atomic = false;
-};
-
-struct Program {
-  std::vector<RelationSpec> catalog;
-  std::vector<Sentence> sentences;
-};
-
-/// What the engine does after each sentence — drawn once per seed so
-/// every engine replays the identical schedule.
-enum class Interleave { kNone, kCheckpoint, kReopen, kCompactStorage };
-
-std::string EncodeState(const SnapshotState& state) {
-  std::string out;
-  EncodeSnapshotState(state, out);
-  return out;
-}
-
-std::string EncodeState(const HistoricalState& state) {
-  std::string out;
-  EncodeHistoricalState(state, out);
-  return out;
-}
-
 /// A random program over all four relation types: single modifies, schema
 /// changes, delete + redefine, multi-command sentences with a deliberately
 /// failing middle (atomic or paper-sequenced), and pure-error sentences.
 Program RandomProgram(uint64_t seed) {
   workload::Generator gen(seed + 1, workload::GeneratorOptions{});
+  std::vector<RelationSpec> catalog;
   Program program;
   const RelationType kinds[] = {RelationType::kSnapshot,
                                 RelationType::kRollback,
@@ -101,12 +69,12 @@ Program RandomProgram(uint64_t seed) {
   for (size_t i = 0; i < 5; ++i) {
     const RelationType type =
         i < 4 ? kinds[i] : kinds[gen.rng().Uniform(4)];
-    program.catalog.push_back(RelationSpec{
+    catalog.push_back(RelationSpec{
         "r" + std::to_string(i), type, gen.RandomSchema(2)});
   }
-  for (const RelationSpec& rel : program.catalog) {
-    program.sentences.push_back(Sentence{
-        {Command{DefineRelationCmd{rel.name, rel.type, rel.schema}}}, false});
+  for (const RelationSpec& rel : catalog) {
+    program.push_back(
+        Step{{Command{DefineRelationCmd{rel.name, rel.type, rel.schema}}}});
   }
   auto modify = [&](const RelationSpec& rel) -> Command {
     if (!HoldsSnapshotStates(rel.type)) {
@@ -118,327 +86,140 @@ Program RandomProgram(uint64_t seed) {
         rel.name, gen.RandomState(rel.schema, gen.rng().Uniform(4))};
   };
   for (int i = 0; i < kSentences; ++i) {
-    const RelationSpec& rel =
-        program.catalog[gen.rng().Uniform(program.catalog.size())];
-    Sentence sentence;
+    const RelationSpec& rel = catalog[gen.rng().Uniform(catalog.size())];
+    Step step;
     const uint64_t kind = gen.rng().Uniform(12);
     if (kind < 7) {
-      sentence.commands.push_back(modify(rel));
+      step.sentence.push_back(modify(rel));
     } else if (kind == 7) {
       // Schema change: forces a keyframe in the relation's segment.
-      sentence.commands.push_back(
-          ModifySchemaCmd{rel.name, gen.RandomSchema(3)});
-      sentence.commands.push_back(modify(RelationSpec{
+      step.sentence.push_back(ModifySchemaCmd{rel.name, gen.RandomSchema(3)});
+      step.sentence.push_back(modify(RelationSpec{
           rel.name, rel.type, gen.RandomSchema(3)}));  // likely fails
     } else if (kind == 8) {
       // Delete + redefine: the manifest must drop and re-cover the name.
-      sentence.commands.push_back(DeleteRelationCmd{rel.name});
-      sentence.commands.push_back(
+      step.sentence.push_back(DeleteRelationCmd{rel.name});
+      step.sentence.push_back(
           DefineRelationCmd{rel.name, rel.type, rel.schema});
-      sentence.commands.push_back(modify(rel));
+      step.sentence.push_back(modify(rel));
     } else if (kind < 11) {
       // Failing middle command: paper sequencing keeps the flanking
       // effects, an atomic submit rolls all three back.
-      sentence.atomic = gen.rng().Bernoulli(0.5);
-      sentence.commands.push_back(modify(rel));
-      sentence.commands.push_back(
+      step.atomic = gen.rng().Bernoulli(0.5);
+      step.sentence.push_back(modify(rel));
+      step.sentence.push_back(
           DefineRelationCmd{rel.name, rel.type, rel.schema});
-      sentence.commands.push_back(
-          modify(program.catalog[gen.rng().Uniform(3)]));
+      step.sentence.push_back(modify(catalog[gen.rng().Uniform(3)]));
     } else {
-      sentence.commands.push_back(
+      step.sentence.push_back(
           DefineRelationCmd{rel.name, rel.type, rel.schema});
     }
-    program.sentences.push_back(std::move(sentence));
+    program.push_back(std::move(step));
   }
   return program;
 }
 
-std::vector<Interleave> RandomSchedule(uint64_t seed, size_t n) {
+Schedule RandomSchedule(uint64_t seed, size_t n) {
   workload::Generator gen(seed + 7);
-  std::vector<Interleave> schedule(n, Interleave::kNone);
+  Schedule schedule(n, Action::kNone);
   for (size_t i = 0; i < n; ++i) {
     const uint64_t roll = gen.rng().Uniform(10);
     if (roll < 3) {
-      schedule[i] = Interleave::kCheckpoint;
+      schedule[i] = Action::kCheckpoint;
     } else if (roll == 3) {
-      schedule[i] = Interleave::kReopen;
+      schedule[i] = Action::kReopen;
     } else if (roll == 4) {
-      schedule[i] = Interleave::kCompactStorage;
+      schedule[i] = Action::kCompactStorage;
     }
   }
   return schedule;
 }
 
-/// The spec: serial execution with full-state-copy semantics. Returns the
-/// per-sentence ack outcomes alongside the final database.
-Database RunSerialOracle(const Program& program, std::vector<bool>& acks) {
-  SerialExecutor serial;
-  for (const Sentence& sentence : program.sentences) {
-    auto body = [&](Database& db) {
-      return ApplySentence(db, sentence.commands);
-    };
-    const Result<TransactionNumber> txn =
-        sentence.atomic ? serial.SubmitAtomic(body) : serial.Submit(body);
-    acks.push_back(txn.ok());
-  }
-  return serial.Snapshot();
-}
-
-/// Runs the program through a DurableExecutor, honoring the interleave
-/// schedule.
-void RunDurable(Env* env, const std::string& dir, const DurableOptions& options,
-                const Program& program,
-                const std::vector<Interleave>& schedule,
-                std::vector<bool>& acks) {
-  auto exec = std::make_unique<DurableExecutor>(env, dir, options);
-  ASSERT_TRUE(exec->Open().ok());
-  for (size_t i = 0; i < program.sentences.size(); ++i) {
-    const Sentence& sentence = program.sentences[i];
-    const Result<TransactionNumber> txn =
-        sentence.atomic ? exec->SubmitAtomic(sentence.commands)
-                        : exec->Submit(sentence.commands);
-    acks.push_back(txn.ok());
-    switch (schedule[i]) {
-      case Interleave::kNone:
-        break;
-      case Interleave::kCheckpoint:
-        ASSERT_TRUE(exec->Checkpoint().ok());
-        break;
-      case Interleave::kReopen:
-        exec = std::make_unique<DurableExecutor>(env, dir, options);
-        ASSERT_TRUE(exec->Open().ok()) << "reopen after sentence " << i;
-        break;
-      case Interleave::kCompactStorage:
-        ASSERT_TRUE(exec->CompactStorage().ok());
-        break;
-    }
-  }
-  // Cover the full history so the probe sweep can answer every epoch.
-  ASSERT_TRUE(exec->Checkpoint().ok());
-}
-
-/// Contract 2, in-memory side: ρ(I, N) through the recovered database
-/// equals the oracle at every epoch for every retains-history relation.
-void VerifyRollbackEquality(const Database& oracle, const Database& actual) {
-  ASSERT_EQ(oracle.transaction_number(), actual.transaction_number());
-  for (const std::string& name : oracle.RelationNames()) {
-    const Relation* rel = oracle.Find(name);
-    ASSERT_NE(rel, nullptr);
-    if (!RetainsHistory(rel->type())) continue;
-    for (TransactionNumber txn = 0; txn <= oracle.transaction_number();
-         ++txn) {
-      SCOPED_TRACE(name + " @" + std::to_string(txn));
-      if (HoldsSnapshotStates(rel->type())) {
-        Result<SnapshotState> want = oracle.Rollback(name, txn);
-        Result<SnapshotState> got = actual.Rollback(name, txn);
-        ASSERT_EQ(want.ok(), got.ok());
-        if (want.ok()) {
-          ASSERT_EQ(EncodeState(*want), EncodeState(*got));
-        }
-      } else {
-        Result<HistoricalState> want = oracle.RollbackHistorical(name, txn);
-        Result<HistoricalState> got = actual.RollbackHistorical(name, txn);
-        ASSERT_EQ(want.ok(), got.ok());
-        if (want.ok()) {
-          ASSERT_EQ(EncodeState(*want), EncodeState(*got));
-        }
-      }
-    }
-  }
-}
-
-/// Contract 2, on-disk side: the interval-index probe answers every epoch
-/// the same way the in-memory relation does — including epochs before the
-/// relation existed (both say "empty at the then-current schema"). The
-/// sweep runs twice so the second pass exercises the FINDSTATE probe
-/// cache when it is enabled.
-void VerifyProbeEquality(CompactStore& store, const Database& db) {
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const std::string& name : db.RelationNames()) {
-      const Relation* rel = db.Find(name);
-      ASSERT_NE(rel, nullptr);
-      if (!RetainsHistory(rel->type())) continue;
-      for (TransactionNumber txn = 0; txn <= db.transaction_number();
-           ++txn) {
-        SCOPED_TRACE(name + " @" + std::to_string(txn) + " pass " +
-                     std::to_string(pass));
-        if (HoldsSnapshotStates(rel->type())) {
-          Result<SnapshotState> probed = store.ProbeSnapshot(name, txn);
-          ASSERT_TRUE(probed.ok()) << probed.status();
-          Result<SnapshotState> direct = rel->SnapshotAt(txn);
-          ASSERT_TRUE(direct.ok()) << direct.status();
-          ASSERT_EQ(EncodeState(*direct), EncodeState(*probed));
-        } else {
-          Result<HistoricalState> probed = store.ProbeHistorical(name, txn);
-          ASSERT_TRUE(probed.ok()) << probed.status();
-          Result<HistoricalState> direct = rel->HistoricalAt(txn);
-          ASSERT_TRUE(direct.ok()) << direct.status();
-          ASSERT_EQ(EncodeState(*direct), EncodeState(*probed));
-        }
-      }
-    }
-  }
-}
-
-void RunCompactOracleSeed(uint64_t seed) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
+/// One seed on one engine: the schedule, a final checkpoint covering the
+/// whole history, then every contract against the serial oracle — on the
+/// live engine, after recovery into a fresh one, and on cold stores built
+/// from the same directory.
+void RunEngineSeed(const Engine& engine, uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " " + engine.Name());
   const Program program = RandomProgram(seed);
-  const std::vector<Interleave> schedule =
-      RandomSchedule(seed, program.sentences.size());
+  const Schedule schedule = RandomSchedule(seed, program.size());
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(program);
+  const std::string& oracle_bytes = oracle.prefixes.back();
 
-  std::vector<bool> oracle_acks;
-  const Database oracle = RunSerialOracle(program, oracle_acks);
-  const std::string oracle_bytes = EncodeDatabase(oracle);
-
-  // --- durable engine, compact layout --------------------------------------
   InMemoryEnv env;
-  const std::string dir = "compact";
-  DurableOptions compact_options;
-  compact_options.compact.keyframe_interval = 3;  // short replay chains
-  std::vector<bool> compact_acks;
-  RunDurable(&env, dir, compact_options, program, schedule, compact_acks);
-  ASSERT_EQ(oracle_acks, compact_acks);
+  const std::string dir = engine.Name();
+  ShardedOptions options;
+  options.durable.compact.keyframe_interval = 3;  // short replay chains
+  {
+    EngineUnderTest live(engine, &env, dir, options);
+    ASSERT_TRUE(live.Open().ok());
+    std::vector<bool> acks;
+    oracle::RunSchedule(live, program, schedule, acks);
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(oracle.acks, acks);
+    // Cover the full history so the probe sweep can answer every epoch.
+    ASSERT_TRUE(live.Checkpoint().ok());
+    const Database final_db = live.Snapshot();
+    ASSERT_EQ(oracle_bytes, EncodeDatabase(final_db));
+    oracle::ExpectSameHistory(oracle.final_db, final_db);
+    oracle::ExpectProbesMatch(*live.compact_store(), final_db);
+  }
 
   // Recover once more through CompactStore::Load and compare everything.
-  DurableExecutor reopened(&env, dir, compact_options);
+  EngineUnderTest reopened(engine, &env, dir, options);
   ASSERT_TRUE(reopened.Open().ok());
   const Database recovered = reopened.Snapshot();
   ASSERT_EQ(oracle_bytes, EncodeDatabase(recovered));
-  VerifyRollbackEquality(oracle, recovered);
+  oracle::ExpectSameHistory(oracle.final_db, recovered);
   ASSERT_NE(reopened.compact_store(), nullptr);
-  VerifyProbeEquality(*reopened.compact_store(), recovered);
+  oracle::ExpectProbesMatch(*reopened.compact_store(), recovered);
   if (recovered.transaction_number() > 0) {
     EXPECT_GT(reopened.compact_store()->stats().probes, 0u);
   }
+  reopened.Close();
+  oracle::ExpectColdStoresMatch(&env, dir, options.durable.compact,
+                                oracle.final_db);
 
-  // Same directory probed through a cache-disabled store: identical
-  // answers, zero hits (the cached store above may hit on its second
-  // sweep; equality of the answers is the contract).
-  CompactOptions uncached = compact_options.compact;
-  uncached.probe_cache_capacity = 0;
-  CompactStore cold(&env, dir, uncached);
-  Result<Database> cold_db = cold.Load(DatabaseOptions{});
-  ASSERT_TRUE(cold_db.ok()) << cold_db.status();
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(*cold_db));
-  VerifyProbeEquality(cold, *cold_db);
-  EXPECT_EQ(cold.stats().probe_cache_hits, 0u);
-
-  // A FINDSTATE-cache-disabled LOAD must also be indistinguishable (the
-  // in-memory cache integration, independent of the probe cache).
-  DatabaseOptions no_cache;
-  no_cache.findstate_cache_capacity = 0;
-  CompactStore cacheless(&env, dir, compact_options.compact);
-  Result<Database> cacheless_db = cacheless.Load(no_cache);
-  ASSERT_TRUE(cacheless_db.ok()) << cacheless_db.status();
-  ASSERT_EQ(oracle_bytes, EncodeDatabase(*cacheless_db));
-  VerifyRollbackEquality(oracle, *cacheless_db);
-
-  // --- legacy full-image layout: refused, never migrated -------------------
-  // The oracle database as a retired checkpoint.db. Neither engine may
-  // read it as an empty database or write a byte beside it.
-  const std::string legacy_dir = "legacy";
-  ASSERT_TRUE(
-      SaveDatabase(oracle, legacy_dir + "/" + kLegacyCheckpointFile, &env)
-          .ok());
-  const Result<std::string> legacy_bytes =
-      env.Read(legacy_dir + "/" + kLegacyCheckpointFile);
-  ASSERT_TRUE(legacy_bytes.ok());
-  DurableExecutor durable(&env, legacy_dir, compact_options);
-  Status refused = durable.Open();
+  // The retired full-image layout: the oracle database as a checkpoint.db.
+  // No engine may read it as an empty database or write a byte beside it.
+  const std::string legacy_dir = "legacy-" + engine.Name();
+  const std::string legacy_file = legacy_dir + "/" + kLegacyCheckpointFile;
+  ASSERT_TRUE(SaveDatabase(oracle.final_db, legacy_file, &env).ok());
+  const auto before = oracle::DirImage(env, legacy_dir);
+  EngineUnderTest legacy(engine, &env, legacy_dir, options);
+  const Status refused = legacy.Open();
   ASSERT_EQ(refused.code(), ErrorCode::kInvalidArgument) << refused;
-  ShardedExecutor sharded(&env, legacy_dir);
-  refused = sharded.Start();
-  ASSERT_EQ(refused.code(), ErrorCode::kInvalidArgument) << refused;
-  ASSERT_EQ(*env.List(legacy_dir),
-            std::vector<std::string>{kLegacyCheckpointFile});
-  ASSERT_EQ(*env.Read(legacy_dir + "/" + kLegacyCheckpointFile),
-            *legacy_bytes);
+  ASSERT_EQ(oracle::DirImage(env, legacy_dir), before);
+}
+
+/// This ctest shard's seeds on every engine of the list of one kind.
+void RunOracleShard(int shard, oracle::EngineKind kind) {
+  oracle::ForEachSeed(shard, oracle::SeedCount("TTRA_ORACLE_SEEDS", 100),
+                      kOracleShards, [&](uint64_t seed) {
+                        for (const Engine& engine : oracle::Engines()) {
+                          if (engine.kind != kind) continue;
+                          RunEngineSeed(engine, seed);
+                          if (::testing::Test::HasFatalFailure()) return;
+                        }
+                      });
 }
 
 class CompactStorageOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompactStorageOracleTest, CompactEngineMatchesFullCopySemantics) {
-  const int shard = GetParam();
-  const int total = OracleSeedCount();
-  for (int seed = shard; seed < total; seed += kOracleShards) {
-    RunCompactOracleSeed(static_cast<uint64_t>(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  RunOracleShard(GetParam(), oracle::EngineKind::kDurable);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CompactStorageOracleTest,
                          ::testing::Range(0, kOracleShards));
 
-// ---------------------------------------------------------------------------
-// Group-commit engine under compact storage
-// ---------------------------------------------------------------------------
-
-/// The sharded executor routes its checkpoint image through the same
-/// CompactStore as DurableExecutor, so one synchronous replay per seed
-/// pins byte-equality and recovery for the single-shard group-commit
-/// front-end and a multi-shard layout alike; the concurrency-vs-serial
-/// contract itself is owned by concurrent_oracle_test.
-void RunGroupCommitCompactSeed(uint64_t seed) {
-  SCOPED_TRACE("seed " + std::to_string(seed));
-  const Program program = RandomProgram(seed);
-  const std::vector<Interleave> schedule =
-      RandomSchedule(seed, program.sentences.size());
-  std::vector<bool> oracle_acks;
-  const Database oracle = RunSerialOracle(program, oracle_acks);
-  const std::string oracle_bytes = EncodeDatabase(oracle);
-
-  InMemoryEnv env;
-  for (const size_t shards : {1u, 3u}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    const std::string dir = "sharded-" + std::to_string(shards);
-    ShardedOptions options;
-    options.shards = shards;
-    options.durable.compact.keyframe_interval = 3;
-    ShardedExecutor exec(&env, dir, options);
-    ASSERT_TRUE(exec.Start().ok());
-    std::vector<bool> acks;
-    for (size_t i = 0; i < program.sentences.size(); ++i) {
-      const Sentence& sentence = program.sentences[i];
-      const Result<TransactionNumber> txn =
-          sentence.atomic ? exec.SubmitAtomic(sentence.commands)
-                          : exec.Submit(sentence.commands);
-      acks.push_back(txn.ok());
-      if (schedule[i] == Interleave::kCheckpoint) {
-        ASSERT_TRUE(exec.Checkpoint().ok());
-      } else if (schedule[i] == Interleave::kCompactStorage) {
-        ASSERT_TRUE(exec.CompactStorage().ok());
-      } else if (schedule[i] == Interleave::kReopen) {
-        exec.Stop();
-        ASSERT_TRUE(exec.Start().ok());
-      }
-    }
-    ASSERT_EQ(oracle_acks, acks);
-    ASSERT_TRUE(exec.Checkpoint().ok());
-    const Database final_db = exec.Snapshot();
-    ASSERT_EQ(oracle_bytes, EncodeDatabase(final_db));
-    ASSERT_NE(exec.compact_store(), nullptr);
-    VerifyProbeEquality(*exec.compact_store(), final_db);
-    exec.Stop();
-
-    // Recovery from the compact layout alone (the shard WALs were
-    // truncated by the final checkpoint).
-    ShardedExecutor recovered(&env, dir, options);
-    ASSERT_TRUE(recovered.Start().ok());
-    ASSERT_EQ(oracle_bytes, EncodeDatabase(recovered.Snapshot()));
-    recovered.Stop();
-  }
-}
-
+// The group-commit front end (one shard) and a multi-shard layout route
+// their checkpoint image through the same CompactStore; the
+// concurrency-vs-serial contract itself is owned by concurrent_oracle_test.
 class ConcurrentCompactOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ConcurrentCompactOracleTest, GroupCommitEnginesMatchOracle) {
-  const int shard = GetParam();
-  const int total = OracleSeedCount();
-  for (int seed = shard; seed < total; seed += kOracleShards) {
-    RunGroupCommitCompactSeed(static_cast<uint64_t>(seed));
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  RunOracleShard(GetParam(), oracle::EngineKind::kSharded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ConcurrentCompactOracleTest,

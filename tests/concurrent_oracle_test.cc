@@ -1,34 +1,32 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <initializer_list>
-#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
-#include "storage/serialize.h"
+#include "oracle_harness.h"
 #include "workload/generator.h"
 
 namespace ttra {
 namespace {
 
+using oracle::EncodeState;
+
 // Differential concurrency oracle. Many producer threads push random
 // sentences through the sharded group-commit executor while many reader
 // threads sample pinned sessions. Afterwards the shard write-ahead logs —
 // which record the committed order verbatim — are read back, merged and
-// replayed through a plain SerialExecutor. The contract under test:
+// replayed through the oracle harness's serial oracle (DESIGN.md §7). The
+// contract under test:
 //
 //  1. the concurrent final database equals the serial replay of the
-//     committed order (every batch is equivalent to some serial C⟦·⟧
-//     order, and the WAL names that order);
+//     committed order, byte for byte and under ρ at every epoch (every
+//     batch is equivalent to some serial C⟦·⟧ order, and the WAL names
+//     that order);
 //  2. every view a session observed at epoch N equals ρ(I, N) evaluated
 //     against the replayed database (epoch pinning = the rollback
 //     operator as snapshot-isolation spec);
@@ -50,13 +48,6 @@ constexpr int kReaders = 4;
 constexpr int kSentencesPerProducer = 10;
 constexpr int kReadsPerReader = 24;
 
-int OracleSeedCount() {
-  const char* env = std::getenv("TTRA_ORACLE_SEEDS");
-  if (env == nullptr) return 50;
-  int n = std::atoi(env);
-  return n > 0 ? n : 50;
-}
-
 struct Relation {
   std::string name;
   RelationType type;
@@ -73,18 +64,6 @@ struct View {
   std::string error;    // status message when !ok (for diagnostics)
   std::string encoded;  // EncodeSnapshotState / EncodeHistoricalState
 };
-
-std::string EncodeState(const SnapshotState& state) {
-  std::string out;
-  EncodeSnapshotState(state, out);
-  return out;
-}
-
-std::string EncodeState(const HistoricalState& state) {
-  std::string out;
-  EncodeHistoricalState(state, out);
-  return out;
-}
 
 /// Fixed catalog: three rollback relations plus one temporal, seeded
 /// synchronously so every reader view is over a defined relation.
@@ -235,101 +214,21 @@ void VerifyViews(const Database& replay_db,
       const Relation& rel = catalog[view.rel];
       SCOPED_TRACE("rel=" + rel.name +
                    " epoch=" + std::to_string(view.epoch));
+      auto expect_view = [&](const auto& oracle) {
+        ASSERT_EQ(oracle.ok(), view.ok)
+            << (view.ok ? oracle.status().message() : view.error);
+        if (oracle.ok()) {
+          ASSERT_EQ(EncodeState(*oracle), view.encoded);
+        }
+      };
       if (rel.type == RelationType::kTemporal) {
-        Result<HistoricalState> oracle =
-            replay_db.RollbackHistorical(rel.name, view.epoch);
-        ASSERT_EQ(oracle.ok(), view.ok)
-            << (view.ok ? oracle.status().message() : view.error);
-        if (oracle.ok()) {
-          ASSERT_EQ(EncodeState(*oracle), view.encoded);
-        }
+        expect_view(replay_db.RollbackHistorical(rel.name, view.epoch));
       } else {
-        Result<SnapshotState> oracle = replay_db.Rollback(rel.name, view.epoch);
-        ASSERT_EQ(oracle.ok(), view.ok)
-            << (view.ok ? oracle.status().message() : view.error);
-        if (oracle.ok()) {
-          ASSERT_EQ(EncodeState(*oracle), view.encoded);
-        }
+        expect_view(replay_db.Rollback(rel.name, view.epoch));
       }
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
-}
-
-/// One committed batch reconstructed from a shard WAL: the prepare record
-/// carries the payload, the commit record the global position.
-struct MergedBatch {
-  uint64_t shard = 0;
-  uint64_t seq = 0;
-  TransactionNumber base = 0;
-  TransactionNumber post = 0;
-  std::vector<GroupEntry> entries;
-};
-
-/// Reads every shard WAL plus the coordinator log and reconstructs the
-/// committed order, sorted by base transaction number — the merge the
-/// sharded executor's recovery performs, re-implemented independently so
-/// the test does not trust the code under test.
-void MergeCommittedOrder(
-    const Env& env, const std::string& dir, size_t nshards,
-    std::vector<MergedBatch>& merged,
-    std::map<std::pair<uint64_t, uint64_t>, ShardRecord>& coordinator) {
-  for (size_t k = 0; k < nshards; ++k) {
-    const std::string path = dir + "/" + ShardWalFile(k);
-    if (!env.Exists(path)) continue;
-    Result<WalReadResult> wal = ReadWal(env, path);
-    ASSERT_TRUE(wal.ok()) << wal.status();
-    ASSERT_FALSE(wal->torn_tail) << path;
-    std::map<uint64_t, ShardRecord> prepares;
-    for (const std::string& payload : wal->records) {
-      Result<ShardRecord> record = DecodeShardRecord(payload);
-      ASSERT_TRUE(record.ok()) << record.status();
-      switch (record->kind) {
-        case ShardRecordKind::kPrepare:
-          ASSERT_TRUE(
-              prepares.emplace(record->seq, std::move(*record)).second)
-              << "duplicate prepare in " << path;
-          break;
-        case ShardRecordKind::kCommit: {
-          const auto prepared = prepares.find(record->seq);
-          ASSERT_NE(prepared, prepares.end())
-              << "commit without prepare in " << path;
-          MergedBatch batch;
-          batch.shard = k;
-          batch.seq = record->seq;
-          batch.base = record->base_txn;
-          batch.post = record->post_txn;
-          batch.entries = std::move(prepared->second.entries);
-          merged.push_back(std::move(batch));
-          break;
-        }
-        case ShardRecordKind::kCrossPrepare:
-          break;  // marker only; the home shard's prepare is authoritative
-        case ShardRecordKind::kCoordCommit:
-          FAIL() << "coordinator record in shard wal " << path;
-      }
-    }
-  }
-  const std::string coord_path = dir + "/" + kCoordinatorLogFile;
-  if (env.Exists(coord_path)) {
-    Result<WalReadResult> wal = ReadWal(env, coord_path);
-    ASSERT_TRUE(wal.ok()) << wal.status();
-    for (const std::string& payload : wal->records) {
-      Result<ShardRecord> record = DecodeShardRecord(payload);
-      ASSERT_TRUE(record.ok()) << record.status();
-      ASSERT_EQ(record->kind, ShardRecordKind::kCoordCommit);
-      ASSERT_TRUE(coordinator
-                      .emplace(std::make_pair(record->shard, record->seq),
-                               std::move(*record))
-                      .second);
-    }
-  }
-  // Bases are not unique: a batch whose every sentence fails consumes no
-  // transaction numbers (base == post), and the next batch reuses its
-  // base. No-op batches order before the advancing batch at that base.
-  std::sort(merged.begin(), merged.end(),
-            [](const MergedBatch& a, const MergedBatch& b) {
-              return a.base != b.base ? a.base < b.base : a.post < b.post;
-            });
 }
 
 void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
@@ -338,10 +237,7 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
 
   InMemoryEnv env;
   ShardedOptions options;
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
-  options.durable.db.storage = kinds[seed % 4];
+  options.durable.db.storage = oracle::kStorageKinds[seed % 4];
   options.durable.db.checkpoint_interval = 4;
   if (seed % 2 == 1) options.durable.db.findstate_cache_capacity = 2;
   options.durable.sync_policy = SyncPolicy::kAlways;
@@ -405,63 +301,48 @@ void RunShardedOracleSeed(uint64_t seed, size_t nshards) {
   const Database final_db = exec.Snapshot();
   exec.Stop();
 
-  // Merge the committed order from all shard WALs + the coordinator log
-  // and replay it serially.
-  std::vector<MergedBatch> merged;
-  std::map<std::pair<uint64_t, uint64_t>, ShardRecord> coordinator;
-  MergeCommittedOrder(env, "db", nshards, merged, coordinator);
+  // Read the committed order back from every shard WAL + the coordinator
+  // log and replay it through the serial oracle.
+  oracle::CommittedOrder order;
+  oracle::ReadCommittedOrder(env, "db", nshards, order);
   if (::testing::Test::HasFatalFailure()) return;
-  EXPECT_EQ(merged.size(), stats.batches);
-
-  SerialExecutor serial(options.durable.db);
-  uint64_t replayed = 0;
-  for (const MergedBatch& batch : merged) {
+  ASSERT_FALSE(order.torn_tail);
+  EXPECT_EQ(order.batches.size(), stats.batches);
+  for (const oracle::CommittedBatch& batch : order.batches) {
     SCOPED_TRACE("shard=" + std::to_string(batch.shard) +
                  " seq=" + std::to_string(batch.seq));
-    // Contract 3 (sharded form): the merged order is gap-free — each
-    // batch's base is exactly where the serial replay stands, so the N
-    // sequence spaces reassemble into ONE strictly-increasing
-    // transaction-number order.
-    ASSERT_EQ(batch.base, serial.transaction_number());
-    const auto coord = coordinator.find({batch.shard, batch.seq});
-    ASSERT_NE(coord, coordinator.end())
+    const auto coord = order.coordinator.find({batch.shard, batch.seq});
+    ASSERT_NE(coord, order.coordinator.end())
         << "coordinator lost a committed batch";
     EXPECT_EQ(coord->second.base_txn, batch.base);
     EXPECT_EQ(coord->second.post_txn, batch.post);
     EXPECT_EQ(coord->second.count, batch.entries.size());
-    for (const GroupEntry& entry : batch.entries) {
-      if (entry.atomic) {
-        (void)serial.SubmitAtomic([&](Database& db) {
-          return ApplySentence(db, entry.sentence);
-        });
-      } else {
-        (void)serial.Submit([&](Database& db) {
-          return ApplySentence(db, entry.sentence);
-        });
-      }
-      ++replayed;
-    }
-    ASSERT_EQ(serial.transaction_number(), batch.post);
   }
-  EXPECT_EQ(replayed, total_submitted);
+  // Contract 3 (sharded form): the merged order is gap-free — each batch
+  // starts exactly where the serial replay stands, so the N sequence
+  // spaces reassemble into ONE strictly-increasing transaction-number
+  // order.
+  oracle::OracleRun replay;
+  oracle::ReplayChain(order.batches, Database(options.durable.db), replay);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(replay.acks.size(), total_submitted);
 
-  // Contract 1: byte-equal databases.
-  const Database replay_db = serial.Snapshot();
-  EXPECT_EQ(replay_db.transaction_number(), final_db.transaction_number());
-  ASSERT_EQ(EncodeDatabase(replay_db), EncodeDatabase(final_db));
+  // Contract 1: byte-equal databases, equal under ρ at every epoch.
+  ASSERT_EQ(replay.prefixes.back(), EncodeDatabase(final_db));
+  oracle::ExpectSameHistory(replay.final_db, final_db);
 
-  VerifyViews(replay_db, catalog, observed);
+  VerifyViews(replay.final_db, catalog, observed);
 }
 
 /// Sweeps this ctest shard's seeds at every writer-shard count given.
 void RunOracleShard(int shard, std::initializer_list<size_t> shard_counts) {
-  const int total = OracleSeedCount();
-  for (int seed = shard; seed < total; seed += kOracleShards) {
-    for (const size_t nshards : shard_counts) {
-      RunShardedOracleSeed(static_cast<uint64_t>(seed), nshards);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
+  oracle::ForEachSeed(shard, oracle::SeedCount("TTRA_ORACLE_SEEDS", 50),
+                      kOracleShards, [&](uint64_t seed) {
+                        for (const size_t nshards : shard_counts) {
+                          RunShardedOracleSeed(seed, nshards);
+                          if (::testing::Test::HasFatalFailure()) return;
+                        }
+                      });
 }
 
 // One writer shard: the single-writer group-commit configuration.

@@ -13,10 +13,9 @@
 #include <algorithm>
 #include <functional>
 
+#include "oracle_harness.h"
 #include "rollback/commands.h"
 #include "rollback/database.h"
-#include "rollback/persistence.h"
-#include "rollback/serial_executor.h"
 #include "storage/logs.h"
 #include "util/cow.h"
 #include "workload/generator.h"
@@ -152,8 +151,7 @@ class CowTest : public ::testing::TestWithParam<StorageKind> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, CowTest,
-    ::testing::Values(StorageKind::kFullCopy, StorageKind::kDelta,
-                      StorageKind::kCheckpoint, StorageKind::kReverseDelta),
+    ::testing::ValuesIn(oracle::kStorageKinds),
     [](const auto& info) {
       std::string name(StorageKindName(info.param));
       std::erase(name, '-');

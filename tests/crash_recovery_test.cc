@@ -1,45 +1,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <thread>
 
-#include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
+#include "oracle_harness.h"
 
 namespace ttra {
 namespace {
 
+using oracle::EmpSchema;
+using oracle::EmpState;
+using oracle::IsIoFailure;
+using oracle::Program;
+
 // The crash-recovery contract under SyncPolicy::kAlways, verified against
-// the paper's semantics: the database is a pure function of its committed
-// command sequence (C⟦·⟧), so after a crash at ANY write point, the
-// recovered database must equal the oracle evaluation of some *prefix* of
+// the paper's semantics through the oracle harness (DESIGN.md §7): the
+// database is a pure function of its committed command sequence (C⟦·⟧),
+// so after a crash at ANY write point of ANY engine, the recovered
+// database must equal the serial oracle's evaluation of some *prefix* of
 // the submitted sentence sequence — and that prefix must contain every
 // sentence whose submission was acknowledged before the crash.
 
-struct Step {
-  std::vector<Command> sentence;
-  bool atomic = false;
-};
-
 Schema MakeSchema(std::vector<Attribute> attributes) {
   return *Schema::Make(std::move(attributes));
-}
-
-Schema EmpSchema() {
-  return MakeSchema(
-      {{"name", ValueType::kString}, {"salary", ValueType::kInt}});
-}
-
-SnapshotState EmpState(
-    std::initializer_list<std::pair<const char*, int64_t>> rows) {
-  std::vector<Tuple> tuples;
-  for (const auto& [name, salary] : rows) {
-    tuples.push_back(Tuple{Value::String(name), Value::Int(salary)});
-  }
-  return *SnapshotState::Make(EmpSchema(), std::move(tuples));
 }
 
 HistoricalState HistState(
@@ -56,8 +39,8 @@ HistoricalState HistState(
 /// A workload exercising every command form, both submit modes, and —
 /// deliberately — command-level failures, whose exact partial effects must
 /// also survive recovery.
-std::vector<Step> Workload() {
-  std::vector<Step> steps;
+Program Workload() {
+  Program steps;
   steps.push_back(
       {{DefineRelationCmd{"emp", RelationType::kRollback, EmpSchema()}}});
   steps.push_back({{ModifySnapshotCmd{"emp", EmpState({{"ed", 100}})}}});
@@ -96,95 +79,34 @@ std::vector<Step> Workload() {
   return steps;
 }
 
-/// Oracle: the paper semantics applied directly to a Database, mirroring
-/// the executor's two submit modes. Returns the canonical encoding of the
-/// database after each prefix of the workload (index k = k steps applied).
-std::vector<std::string> OraclePrefixStates(const std::vector<Step>& steps) {
-  Database db;
-  std::vector<std::string> states;
-  states.push_back(EncodeDatabase(db));
-  for (const Step& step : steps) {
-    if (step.atomic) {
-      Database scratch = db.Clone();
-      if (ApplySentence(scratch, step.sentence).ok()) db = std::move(scratch);
-    } else {
-      // Non-atomic failures leave partial effects by design; the oracle
-      // mirrors replay, which also drops the status.
-      ApplySentence(db, step.sentence).IgnoreError();
-    }
-    states.push_back(EncodeDatabase(db));
-  }
-  return states;
-}
-
-bool IsIoFailure(const Status& status) {
-  return status.code() == ErrorCode::kIoError ||
-         status.code() == ErrorCode::kUnavailable;
-}
-
-/// Runs the workload against a fresh FaultInjectionEnv with a fault armed
-/// at op `fault_at` (0 = no fault), crashes at the first I/O failure (or
-/// at the end), recovers with a brand-new executor, and checks the
-/// recovered database against the oracle prefixes.
-void RunCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
-                   const DurableOptions& options,
-                   const std::vector<Step>& steps,
-                   const std::vector<std::string>& oracle,
-                   uint64_t* total_ops = nullptr) {
-  SCOPED_TRACE("fault at op " + std::to_string(fault_at) +
-               (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
-                                                              : " (torn)"));
-  FaultInjectionEnv env;
-  auto exec =
-      std::make_unique<DurableExecutor>(&env, "walled-garden", options);
-  ASSERT_TRUE(exec->Open().ok());
-  if (fault_at != 0) env.InjectFault(fault_at, mode);
-
-  // `acked` = number of leading workload steps whose submission returned a
-  // non-I/O status: those sentences are durably logged (kAlways policy)
-  // and MUST be reflected by recovery. Command-level errors still count as
-  // acknowledged — the sentence is in the log, its (partial or null)
-  // effect is deterministic.
-  size_t acked = 0;
-  for (const Step& step : steps) {
-    Result<TransactionNumber> result =
-        step.atomic ? exec->SubmitAtomic(step.sentence)
-                    : exec->Submit(step.sentence);
-    if (!result.ok() && IsIoFailure(result.status())) break;  // "crash"
-    ++acked;
-  }
-  if (total_ops != nullptr) *total_ops = env.op_count();
-
-  // Power loss: unsynced bytes vanish; then a new process recovers.
-  exec.reset();
-  env.Crash();
-  DurableExecutor recovered(&env, "walled-garden", options);
-  ASSERT_TRUE(recovered.Open().ok());
-
-  // Largest matching prefix: sentences that fail (atomically or entirely)
-  // leave the state unchanged, so consecutive prefixes can be identical
-  // and the first match would under-count.
-  const std::string state = EncodeDatabase(recovered.Snapshot());
-  size_t matched = oracle.size();
-  for (size_t k = oracle.size(); k-- > 0;) {
-    if (state == oracle[k]) {
-      matched = k;
-      break;
+/// Submits every step of the workload; command-level failures are part of
+/// it, storage failures are not.
+void SubmitAll(DurableExecutor& exec, const Program& steps) {
+  for (const oracle::Step& step : steps) {
+    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
+                         : exec.Submit(step.sentence);
+    if (!r.ok()) {
+      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
     }
   }
-  ASSERT_LT(matched, oracle.size())
-      << "recovered database matches no prefix of the command sequence";
-  EXPECT_GE(matched, acked)
-      << "recovery lost an acknowledged commit: recovered prefix " << matched
-      << " < acknowledged " << acked;
+}
 
-  // The recovered executor keeps working and numbers new transactions
-  // strictly above everything it recovered.
-  const TransactionNumber resumed = recovered.transaction_number();
-  auto txn = recovered.Submit(Command(DefineRelationCmd{
-      "post_recovery", RelationType::kSnapshot, EmpSchema()}));
-  ASSERT_TRUE(txn.ok()) << txn.status();
-  EXPECT_EQ(*txn, resumed + 1);
+/// Crashes every engine of the harness's list at every op of the workload.
+/// The fault-free run of each engine sizes its sweep; faults are armed
+/// relative to the op counter after Open(), so high n values run the
+/// workload to completion and just re-verify clean recovery.
+void SweepEveryEngine(FaultInjectionEnv::FaultMode mode,
+                      const ShardedOptions& options) {
+  const Program steps = Workload();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);
+  for (const oracle::Engine& engine : oracle::Engines()) {
+    uint64_t total_ops = 0;
+    oracle::RunCrashPoint(engine, 0, mode, options, steps, oracle, &total_ops);
+    ASSERT_GT(total_ops, 0u);
+    for (uint64_t n = 1; n <= total_ops; ++n) {
+      oracle::RunCrashPoint(engine, n, mode, options, steps, oracle);
+    }
+  }
 }
 
 class CrashRecoveryTest
@@ -201,40 +123,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(CrashRecoveryTest, EveryFaultPointRecoversToAnAckedPrefix) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
-  DurableOptions options;  // kAlways
-
-  // The fault-free run sizes the sweep. Faults are armed relative to the
-  // op counter after Open(), so high n values run the workload to
-  // completion and just re-verify clean recovery.
-  uint64_t total_ops = 0;
-  RunCrashPoint(0, GetParam(), options, steps, oracle, &total_ops);
-  ASSERT_GT(total_ops, 0u);
-
-  for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunCrashPoint(n, GetParam(), options, steps, oracle);
-  }
+  SweepEveryEngine(GetParam(), ShardedOptions{});  // kAlways
 }
 
 TEST_P(CrashRecoveryTest, EveryFaultPointWithAutoCheckpoint) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
-  DurableOptions options;
-  options.checkpoint_every = 2;  // exercise checkpoint + truncation faults
-
-  uint64_t total_ops = 0;
-  RunCrashPoint(0, GetParam(), options, steps, oracle, &total_ops);
-  ASSERT_GT(total_ops, 0u);
-
-  for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunCrashPoint(n, GetParam(), options, steps, oracle);
-  }
+  ShardedOptions options;
+  options.durable.checkpoint_every = 2;  // exercise checkpoint faults
+  SweepEveryEngine(GetParam(), options);
 }
 
 TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
+  const Program steps = Workload();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);
 
   // Populate a directory, then sweep faults over recovery's own writes
   // (checkpoint republication, WAL truncation): a failed Open must leave
@@ -243,13 +143,7 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
   {
     DurableExecutor exec(&env, "d", DurableOptions{});
     ASSERT_TRUE(exec.Open().ok());
-    for (const Step& step : steps) {
-      auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                           : exec.Submit(step.sentence);
-      if (!r.ok()) {
-        ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-      }
-    }
+    SubmitAll(exec, steps);
   }
   const uint64_t ops_before = env.op_count();
   // Measure how many ops one recovery takes.
@@ -269,7 +163,7 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
       env.Crash();
       ASSERT_TRUE(exec.Open().ok()) << "retry after recovery fault failed";
     }
-    EXPECT_EQ(EncodeDatabase(exec.Snapshot()), oracle.back());
+    EXPECT_EQ(EncodeDatabase(exec.Snapshot()), oracle.prefixes.back());
   }
 }
 
@@ -278,20 +172,18 @@ TEST(CrashRecoveryTest, RecoveryIsIdempotent) {
   DurableOptions options;
   DurableExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Open().ok());
-  const std::vector<Step> steps = Workload();
-  for (const Step& step : steps) {
-    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                         : exec.Submit(step.sentence);
-    if (!r.ok()) {
-      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-    }
-  }
+  SubmitAll(exec, Workload());
   const std::string want = EncodeDatabase(exec.Snapshot());
-  // Recover twice in a row without any crash: state must be stable.
+  // Recover twice in a row without any crash: state must be stable. The
+  // first recovery replays the log; its checkpoint then covers every
+  // record, so the second one skips them all and applies nothing.
   for (int round = 0; round < 2; ++round) {
     DurableExecutor again(&env, "d", options);
     ASSERT_TRUE(again.Open().ok());
     EXPECT_EQ(EncodeDatabase(again.Snapshot()), want) << "round " << round;
+    if (round == 1) {
+      EXPECT_EQ(again.last_recovery().replayed_records, 0u);
+    }
   }
 }
 
@@ -522,14 +414,8 @@ TEST(CrashRecoveryTest, CompactStorageTruncatesWalAndPreservesState) {
   InMemoryEnv env;
   DurableExecutor exec(&env, "d", DurableOptions{});
   ASSERT_TRUE(exec.Open().ok());
-  const std::vector<Step> steps = Workload();
-  for (const Step& step : steps) {
-    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                         : exec.Submit(step.sentence);
-    if (!r.ok()) {
-      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-    }
-  }
+  const Program steps = Workload();
+  SubmitAll(exec, steps);
   const std::string want = EncodeDatabase(exec.Snapshot());
   // A checkpoint keeps the log (it is the salvage baseline) ...
   ASSERT_TRUE(exec.Checkpoint().ok());
@@ -549,8 +435,8 @@ TEST(CrashRecoveryTest, CompactStorageTruncatesWalAndPreservesState) {
 }
 
 TEST(CrashRecoveryTest, SyncPolicyBatchMayLoseOnlyUnsyncedSuffix) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
+  const Program steps = Workload();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);
   DurableOptions options;
   options.sync_policy = SyncPolicy::kBatch;
   options.batch_size = 4;
@@ -558,21 +444,14 @@ TEST(CrashRecoveryTest, SyncPolicyBatchMayLoseOnlyUnsyncedSuffix) {
   FaultInjectionEnv env;
   DurableExecutor exec(&env, "d", options);
   ASSERT_TRUE(exec.Open().ok());
-  for (const Step& step : steps) {
-    auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                         : exec.Submit(step.sentence);
-    if (!r.ok()) {
-      ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-    }
-  }
+  SubmitAll(exec, steps);
   env.Crash();  // power loss with unsynced commits in flight
   DurableExecutor recovered(&env, "d", options);
   ASSERT_TRUE(recovered.Open().ok());
   const std::string state = EncodeDatabase(recovered.Snapshot());
   // Still a consistent prefix — just not necessarily the full workload.
-  bool is_prefix = false;
-  for (const std::string& prefix : oracle) is_prefix |= (state == prefix);
-  EXPECT_TRUE(is_prefix);
+  EXPECT_LT(oracle::MatchPrefix(oracle.prefixes, state),
+            oracle.prefixes.size());
 }
 
 TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
@@ -588,19 +467,12 @@ TEST(CrashRecoveryTest, RunsOnTheRealFilesystemToo) {
   {
     DurableExecutor exec(env, dir, options);
     ASSERT_TRUE(exec.Open().ok());
-    const std::vector<Step> steps = Workload();
-    for (const Step& step : steps) {
-      auto r = step.atomic ? exec.SubmitAtomic(step.sentence)
-                           : exec.Submit(step.sentence);
-      if (!r.ok()) {
-        ASSERT_FALSE(IsIoFailure(r.status())) << r.status();
-      }
-    }
+    SubmitAll(exec, Workload());
   }  // executor destroyed without checkpoint: WAL is the only truth
   DurableExecutor recovered(env, dir, options);
   ASSERT_TRUE(recovered.Open().ok());
-  const std::vector<std::string> oracle = OraclePrefixStates(Workload());
-  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), oracle.back());
+  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()),
+            oracle::RunSerialOracle(Workload()).prefixes.back());
   EXPECT_GT(recovered.last_recovery().replayed_records, 0u);
 }
 
@@ -618,128 +490,104 @@ void PutU64(uint64_t v, std::string& out) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-/// Applies `batch` to `db` with each entry's submit mode and returns the
-/// group record that logs it: [u8 2][u64 count], then per entry
-/// [u8 atomic][u64 pre_txn][u64 n][n commands].
-std::string StageGroupRecord(const std::vector<Step>& batch, Database& db) {
+/// The group record logging workload steps [begin, end): [u8 2][u64
+/// count], then per entry [u8 atomic][u64 pre_txn][u64 n][n commands]. An
+/// entry's pre_txn is the serial oracle's transaction number before it.
+std::string GroupRecord(const Program& steps, size_t begin, size_t end,
+                        const oracle::OracleRun& oracle) {
   std::string out;
   out.push_back(2);
-  PutU64(batch.size(), out);
-  for (const Step& step : batch) {
-    out.push_back(static_cast<char>(step.atomic ? 1 : 0));
-    PutU64(db.transaction_number(), out);
-    PutU64(step.sentence.size(), out);
-    for (const Command& command : step.sentence) EncodeCommand(command, out);
-    if (step.atomic) {
-      Database scratch = db.Clone();
-      if (ApplySentence(scratch, step.sentence).ok()) db = std::move(scratch);
-    } else {
-      ApplySentence(db, step.sentence).IgnoreError();
+  PutU64(end - begin, out);
+  for (size_t k = begin; k < end; ++k) {
+    out.push_back(static_cast<char>(steps[k].atomic ? 1 : 0));
+    PutU64(oracle.txns[k], out);
+    PutU64(steps[k].sentence.size(), out);
+    for (const Command& command : steps[k].sentence) {
+      EncodeCommand(command, out);
     }
   }
   return out;
 }
 
-std::vector<std::vector<Step>> WorkloadBatches(const std::vector<Step>& steps,
-                                               size_t batch_size) {
-  std::vector<std::vector<Step>> batches;
-  for (size_t i = 0; i < steps.size(); i += batch_size) {
-    batches.emplace_back(steps.begin() + i,
-                         steps.begin() + std::min(i + batch_size, steps.size()));
-  }
-  return batches;
-}
-
-/// Prefix indices (into OraclePrefixStates output) that fall on batch
-/// boundaries: 0 steps, batch_size steps, 2*batch_size steps, ...
-std::vector<size_t> BatchBoundaries(size_t total_steps, size_t batch_size) {
-  std::vector<size_t> boundaries;
-  for (size_t k = 0; k <= total_steps; k += batch_size) boundaries.push_back(k);
-  if (boundaries.back() != total_steps) boundaries.push_back(total_steps);
-  return boundaries;
-}
-
-/// Appends one synced group record per batch to the wal.log of a directory
-/// Open() created, with a fault armed at op `fault_at` (0 = none). With
-/// `checkpoint_every` > 0 a compact checkpoint of the staged state is also
-/// written once that many sentences have been logged since the last one,
-/// so recovery must skip the group entries the checkpoint covers. The
-/// first failed write is the crash; recovery must equal a whole-batch
-/// prefix holding every synced batch.
+/// Appends one synced group record per batch of `batch_size` steps to the
+/// wal.log of a directory Open() created, with a fault armed at op
+/// `fault_at` (0 = none). With `checkpoint_every` > 0 a compact checkpoint
+/// of the oracle's state is also written once that many sentences have
+/// been logged since the last one, so recovery must skip the group entries
+/// the checkpoint covers. The first failed write is the crash; recovery
+/// must equal a whole-batch prefix holding every synced batch.
 void RunGroupCrashPoint(uint64_t fault_at, FaultInjectionEnv::FaultMode mode,
-                        size_t checkpoint_every,
-                        const std::vector<std::vector<Step>>& batches,
-                        const std::vector<std::string>& oracle,
-                        const std::vector<size_t>& boundaries,
+                        size_t checkpoint_every, const Program& steps,
+                        const oracle::OracleRun& oracle, size_t batch_size,
                         uint64_t* total_ops = nullptr) {
   SCOPED_TRACE("group fault at op " + std::to_string(fault_at) +
                (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
                                                               : " (torn)"));
+  // Batch boundaries: 0 steps, batch_size steps, ..., every step.
+  std::vector<size_t> boundaries;
+  for (size_t k = 0; k < steps.size(); k += batch_size) boundaries.push_back(k);
+  boundaries.push_back(steps.size());
+  std::vector<std::string> boundary_states;
+  for (const size_t k : boundaries) {
+    boundary_states.push_back(oracle.prefixes[k]);
+  }
+
   FaultInjectionEnv env;
   ASSERT_TRUE(DurableExecutor(&env, "g").Open().ok());
   CompactStore store(&env, "g");
-  Result<Database> staged = store.Load(DatabaseOptions{});
-  ASSERT_TRUE(staged.ok()) << staged.status();
+  ASSERT_TRUE(store.Load(DatabaseOptions{}).ok());  // adopt Open()'s chain
   WalWriter wal(&env, "g/wal.log");
   ASSERT_TRUE(wal.OpenForAppend().ok());
   if (fault_at != 0) env.InjectFault(fault_at, mode);
 
   size_t acked_batches = 0;
   size_t since_checkpoint = 0;
-  for (const auto& batch : batches) {
-    const std::string record = StageGroupRecord(batch, *staged);
+  for (size_t b = 0; b + 1 < boundaries.size(); ++b) {
+    const size_t begin = boundaries[b];
+    const size_t end = boundaries[b + 1];
+    const std::string record = GroupRecord(steps, begin, end, oracle);
     if (!wal.AddRecord(record).ok() || !wal.Sync().ok()) break;  // "crash"
     ++acked_batches;
-    since_checkpoint += batch.size();
+    since_checkpoint += end - begin;
     if (checkpoint_every != 0 && since_checkpoint >= checkpoint_every) {
-      if (!store.WriteCheckpoint(*staged).ok()) break;
+      const Program logged(steps.begin(), steps.begin() + end);
+      if (!store.WriteCheckpoint(oracle::RunSerialOracle(logged).final_db)
+               .ok()) {
+        break;
+      }
       since_checkpoint = 0;
     }
   }
   if (total_ops != nullptr) *total_ops = env.op_count();
 
   env.Crash();
-  DurableExecutor recovered(&env, "g");
+  oracle::EngineUnderTest recovered({oracle::EngineKind::kDurable}, &env, "g");
   ASSERT_TRUE(recovered.Open().ok());
 
   // The recovered state must sit on a batch boundary — matching a
   // mid-batch prefix whose state differs from every boundary state would
   // mean a torn batch was half-replayed.
-  const std::string state = EncodeDatabase(recovered.Snapshot());
-  size_t matched_boundary = boundaries.size();
-  for (size_t b = boundaries.size(); b-- > 0;) {
-    if (state == oracle[boundaries[b]]) {
-      matched_boundary = b;
-      break;
-    }
-  }
+  const size_t matched_boundary = oracle::MatchPrefix(
+      boundary_states, EncodeDatabase(recovered.Snapshot()));
   ASSERT_LT(matched_boundary, boundaries.size())
       << "recovered database is not a whole-batch prefix (torn batch?)";
   EXPECT_GE(matched_boundary, acked_batches)
       << "recovery lost a synced group record";
-
-  const TransactionNumber resumed = recovered.transaction_number();
-  auto txn = recovered.Submit(Command(DefineRelationCmd{
-      "post_recovery", RelationType::kSnapshot, EmpSchema()}));
-  ASSERT_TRUE(txn.ok()) << txn.status();
-  EXPECT_EQ(*txn, resumed + 1);
+  oracle::ExpectResumes(recovered);
 }
 
 void RunGroupSweep(FaultInjectionEnv::FaultMode mode,
                    size_t checkpoint_every) {
-  const std::vector<Step> steps = Workload();
-  const std::vector<std::string> oracle = OraclePrefixStates(steps);
+  const Program steps = Workload();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);
   constexpr size_t kBatchSize = 3;
-  const auto batches = WorkloadBatches(steps, kBatchSize);
-  const auto boundaries = BatchBoundaries(steps.size(), kBatchSize);
 
   uint64_t total_ops = 0;
-  RunGroupCrashPoint(0, mode, checkpoint_every, batches, oracle, boundaries,
+  RunGroupCrashPoint(0, mode, checkpoint_every, steps, oracle, kBatchSize,
                      &total_ops);
   ASSERT_GT(total_ops, 0u);
   for (uint64_t n = 1; n <= total_ops; ++n) {
-    RunGroupCrashPoint(n, mode, checkpoint_every, batches, oracle,
-                       boundaries);
+    RunGroupCrashPoint(n, mode, checkpoint_every, steps, oracle, kBatchSize);
   }
 }
 
@@ -758,15 +606,7 @@ TEST_P(CrashRecoveryTest, EveryGroupFaultPointWithAutoCheckpoint) {
 // WAL — the same differential the concurrency oracle applies to crash-free
 // runs.
 TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
-  Schema schema = MakeSchema({{"n", ValueType::kInt}});
-  auto state_of = [&](int64_t v, size_t n) {
-    std::vector<Tuple> rows;
-    for (size_t i = 0; i < n; ++i) {
-      rows.push_back(Tuple{Value::Int(v + static_cast<int64_t>(i))});
-    }
-    return *SnapshotState::Make(schema, std::move(rows));
-  };
-
+  const Schema schema = oracle::OneIntSchema();
   ShardedOptions options;
   options.group_commit.max_batch = 4;
   options.group_commit.max_latency = std::chrono::microseconds(200);
@@ -787,7 +627,7 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
           for (int i = 0; i < 8; ++i) {
             std::vector<Command> sentence;
             sentence.push_back(ModifySnapshotCmd{
-                "r", state_of(p * 100 + i, static_cast<size_t>(i % 4))});
+                "r", oracle::IntRows(p * 100 + i, i % 4)});
             // I/O failures after the fault fires are expected; losing
             // those unacknowledged sentences is the contract.
             (void)exec.SubmitAsync(std::move(sentence)).get();
@@ -799,61 +639,30 @@ TEST(GroupCommitCrashTest, ConcurrentCrashRecoversToWalReplay) {
     }
     env.Crash();
 
-    // By-hand recovery oracle: checkpoint, then the shard WAL's batches.
-    // A prepare counts only once its commit record is durable, and the
-    // committed batches chain by base transaction number from the
-    // checkpoint up to the first gap.
-    Database oracle_db(options.durable.db);
+    // Recovery oracle, independent of ShardedExecutor::Recover: the
+    // surviving checkpoint, then the shard WAL's committed batches chained
+    // gap-free from it (a prepare counts only once its commit record is
+    // durable), replayed serially.
+    Database base(options.durable.db);
     if (CompactStore checkpoint(&env, "c"); checkpoint.Exists()) {
       auto loaded = checkpoint.Load(options.durable.db);
       ASSERT_TRUE(loaded.ok()) << loaded.status();
-      oracle_db = *std::move(loaded);
+      base = *std::move(loaded);
     }
-    const std::string wal_path = "c/" + ShardWalFile(0);
-    ASSERT_TRUE(env.Exists(wal_path));
-    auto wal = ReadWal(env, wal_path);
-    ASSERT_TRUE(wal.ok()) << wal.status();
-    std::map<uint64_t, std::vector<GroupEntry>> prepared;
-    std::vector<ShardRecord> commits;
-    for (const std::string& payload : wal->records) {
-      auto record = DecodeShardRecord(payload);
-      ASSERT_TRUE(record.ok()) << record.status();
-      if (record->kind == ShardRecordKind::kPrepare) {
-        prepared[record->seq] = std::move(record->entries);
-      } else if (record->kind == ShardRecordKind::kCommit) {
-        ASSERT_EQ(prepared.count(record->seq), 1u) << "commit before prepare";
-        commits.push_back(std::move(*record));
-      }
-    }
-    std::sort(commits.begin(), commits.end(),
-              [](const ShardRecord& a, const ShardRecord& b) {
-                return a.base_txn != b.base_txn ? a.base_txn < b.base_txn
-                                                : a.post_txn < b.post_txn;
-              });
-    for (const ShardRecord& commit : commits) {
-      if (commit.post_txn <= oracle_db.transaction_number()) continue;
-      if (commit.base_txn != oracle_db.transaction_number()) break;
-      for (const GroupEntry& entry : prepared[commit.seq]) {
-        if (entry.atomic) {
-          Database scratch = oracle_db.Clone();
-          if (ApplySentence(scratch, entry.sentence).ok()) {
-            oracle_db = std::move(scratch);
-          }
-        } else {
-          // Mirrors replay: a non-atomic status was decided at commit
-          // time and is dropped here too.
-          ApplySentence(oracle_db, entry.sentence).IgnoreError();
-        }
-      }
-      ASSERT_EQ(oracle_db.transaction_number(), commit.post_txn);
-    }
+    ASSERT_TRUE(env.Exists("c/" + ShardWalFile(0)));
+    oracle::CommittedOrder order;
+    oracle::ReadCommittedOrder(env, "c", 1, order);
+    const std::vector<oracle::CommittedBatch> chain =
+        oracle::ChainFrom(order.batches, base.transaction_number());
+    oracle::OracleRun replay;
+    oracle::ReplayChain(chain, std::move(base), replay);
     // The fault is armed only after the define was acknowledged, so an
-    // empty oracle would mean the by-hand replay read nothing at all.
-    ASSERT_NE(oracle_db.Find("r"), nullptr);
+    // empty oracle would mean the replay read nothing at all.
+    ASSERT_NE(replay.final_db.Find("r"), nullptr);
 
     ShardedExecutor recovered(&env, "c", options);
     ASSERT_TRUE(recovered.Start().ok());
-    EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), EncodeDatabase(oracle_db));
+    EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), replay.prefixes.back());
     recovered.Stop();
   }
 }

@@ -5,11 +5,12 @@
 #include <thread>
 #include <vector>
 
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
+#include "oracle_harness.h"
 
 namespace ttra {
 namespace {
+
+using oracle::OneIntSchema;
 
 // Epoch-pinning property suite: a Session opened at transaction number N
 // must answer every query from exactly ρ(·, N) — never observing a later
@@ -19,18 +20,8 @@ namespace {
 // of n, so "never observes beyond the epoch" becomes a size equation any
 // thread can check without synchronizing with the writer.
 
-Schema CounterSchema() {
-  return *Schema::Make({{"id", ValueType::kInt}});
-}
-
-SnapshotState StateOfSize(size_t n) {
-  std::vector<Tuple> rows;
-  rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows.push_back(Tuple{Value::Int(static_cast<int64_t>(i))});
-  }
-  return *SnapshotState::Make(CounterSchema(), std::move(rows));
-}
+/// The state of size n: rows 0..n-1.
+SnapshotState StateOfSize(size_t n) { return oracle::IntRows(0, n); }
 
 // Size committed at transaction n (modify_state commits start at txn 2:
 // txn 1 is the define). Kept non-monotonic so a stale cache entry serving
@@ -38,11 +29,8 @@ SnapshotState StateOfSize(size_t n) {
 size_t SizeAt(TransactionNumber n) { return static_cast<size_t>(n % 7); }
 
 ShardedOptions OptionsFor(int variant) {
-  const StorageKind kinds[] = {StorageKind::kFullCopy, StorageKind::kDelta,
-                               StorageKind::kCheckpoint,
-                               StorageKind::kReverseDelta};
   ShardedOptions options;
-  options.durable.db.storage = kinds[variant % 4];
+  options.durable.db.storage = oracle::kStorageKinds[variant % 4];
   options.durable.db.checkpoint_interval = 3;
   // Odd variants: a 2-entry FINDSTATE cache, so most pinned reads
   // reconstruct from the log instead of hitting a cached state.
@@ -63,7 +51,7 @@ TEST_P(EpochPinningTest, PinnedSessionsSurviveCommitsCheckpointsAndRestart) {
   ShardedExecutor exec(&env, "db", OptionsFor(GetParam()));
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                      "c", RelationType::kRollback, CounterSchema()}})
+                      "c", RelationType::kRollback, OneIntSchema()}})
                   .ok());
 
   std::vector<Session> pinned;
@@ -127,7 +115,7 @@ TEST_P(EpochPinningTest, ConcurrentReadersNeverObserveBeyondEpoch) {
   ShardedExecutor exec(&env, "db", OptionsFor(GetParam()));
   ASSERT_TRUE(exec.Start().ok());
   ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
-                      "c", RelationType::kRollback, CounterSchema()}})
+                      "c", RelationType::kRollback, OneIntSchema()}})
                   .ok());
   // One committed modify_state before readers start, so txn 2 exists.
   ASSERT_TRUE(

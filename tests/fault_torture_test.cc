@@ -1,19 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
+#include "oracle_harness.h"
 #include "storage/salvage.h"
 #include "util/random.h"
 
 namespace ttra {
 namespace {
+
+using oracle::OneIntSchema;
+using oracle::Program;
 
 // Fault-schedule torture oracle. Each seed derives a probabilistic fault
 // plan (transient-EIO bursts, torn appends, lying fsyncs, ENOSPC), runs a
@@ -32,26 +31,12 @@ namespace {
 //    recovery, and the recovered state is some exact prefix of the
 //    committed sentence sequence — never a torn or reordered one.
 //
-// Seed count: TTRA_FAULT_SEEDS (CI's faults job sets 200); default 25.
+// The workload and its oracle come from the oracle harness (DESIGN.md
+// §7). Seed count: TTRA_FAULT_SEEDS (CI's faults job sets 200); default 25.
 
-size_t SeedCount() {
-  const char* setting = std::getenv("TTRA_FAULT_SEEDS");
-  if (setting == nullptr) return 25;
-  const long parsed = std::strtol(setting, nullptr, 10);
-  return parsed > 0 ? static_cast<size_t>(parsed) : 25;
-}
-
-Schema OneIntSchema() { return *Schema::Make({{"n", ValueType::kInt}}); }
-
+/// Sentence i of the workload: "r" := i % 5 + 1 rows from i * 100.
 std::vector<Command> NthSentence(int i) {
-  std::vector<Tuple> rows;
-  for (int k = 0; k <= i % 5; ++k) {
-    rows.push_back(Tuple{Value::Int(i * 100 + k)});
-  }
-  std::vector<Command> sentence;
-  sentence.push_back(ModifySnapshotCmd{
-      "r", *SnapshotState::Make(OneIntSchema(), std::move(rows))});
-  return sentence;
+  return oracle::ModifyInts("r", i * 100, i % 5 + 1);
 }
 
 FaultPlanOptions PlanForSeed(uint64_t seed, Rng& rng) {
@@ -66,25 +51,6 @@ FaultPlanOptions PlanForSeed(uint64_t seed, Rng& rng) {
   return plan;
 }
 
-/// The CLI's fsck configuration: semantic validation via rollback decoders.
-SalvageOptions FsckOptions() {
-  SalvageOptions options;
-  options.validate_record = [](std::string_view payload) {
-    return DecodeWalRecord(payload).status();
-  };
-  options.validate_shard_record = [](std::string_view payload) {
-    return DecodeShardRecord(payload).status();
-  };
-  options.wal_record_pre_txn =
-      [](std::string_view payload) -> Result<TransactionNumber> {
-    auto decoded = DecodeWalRecord(payload);
-    if (!decoded.ok()) return decoded.status();
-    if (decoded->empty()) return CorruptionError("empty wal record");
-    return decoded->front().pre_txn;
-  };
-  return options;
-}
-
 /// One seeded schedule. With `checkpoints` the executor also checkpoints
 /// every few commits, so the fault plan strikes mid-segment-append and
 /// mid-manifest-append — the crash windows the compact salvage rules
@@ -96,23 +62,13 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   Rng rng(seed);
 
   // The workload and its oracle: canonical state after each prefix.
-  std::vector<std::vector<Command>> sentences;
-  {
-    std::vector<Command> define;
-    define.push_back(
-        DefineRelationCmd{"r", RelationType::kRollback, OneIntSchema()});
-    sentences.push_back(std::move(define));
-  }
-  for (int i = 0; i < 30; ++i) sentences.push_back(NthSentence(i));
-  std::vector<std::string> prefix_states;
-  {
-    Database db{DatabaseOptions{}};
-    prefix_states.push_back(EncodeDatabase(db));
-    for (const auto& sentence : sentences) {
-      ASSERT_TRUE(ApplySentence(db, sentence).ok());
-      prefix_states.push_back(EncodeDatabase(db));
-    }
-  }
+  Program program;
+  program.push_back(
+      {{DefineRelationCmd{"r", RelationType::kRollback, OneIntSchema()}}});
+  for (int i = 0; i < 30; ++i) program.push_back({NthSentence(i)});
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(program);
+  ASSERT_EQ(oracle.acks, std::vector<bool>(program.size(), true));
+  const std::vector<std::string>& prefix_states = oracle.prefixes;
 
   FaultInjectionEnv env;
   ShardedOptions options;
@@ -138,8 +94,8 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   size_t refused = 0;
   bool failed = false;
   TransactionNumber last_txn = 0;
-  for (const auto& sentence : sentences) {
-    Result<TransactionNumber> result = exec.Submit(sentence);
+  for (const oracle::Step& step : program) {
+    Result<TransactionNumber> result = exec.Submit(step.sentence);
     if (result.ok()) {
       ASSERT_FALSE(failed) << "write accepted after the executor degraded";
       ASSERT_EQ(*result, last_txn + 1) << "transaction chain has a gap";
@@ -213,7 +169,7 @@ void RunSeed(uint64_t seed, bool checkpoints) {
     }
   }
 
-  auto scan = ScanStorage(&env, "t", FsckOptions());
+  auto scan = ScanStorage(&env, "t", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok()) << scan.status();
   if (!checkpoints) {
     ASSERT_NE(scan->verdict, SalvageVerdict::kUnrecoverable)
@@ -227,7 +183,7 @@ void RunSeed(uint64_t seed, bool checkpoints) {
     return;
   }
   if (scan->verdict == SalvageVerdict::kNeedsRepair) {
-    auto repaired = RepairStorage(&env, "t", FsckOptions());
+    auto repaired = RepairStorage(&env, "t", MakeSalvageOptions());
     ASSERT_TRUE(repaired.ok()) << repaired.status();
     EXPECT_TRUE(repaired->repaired);
     // The damage was either in the WAL (quarantined alongside it) or
@@ -241,14 +197,8 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   ASSERT_TRUE(recovered.Start().ok());
 
   // ...to an exact prefix of the committed sentence sequence.
-  const std::string state = EncodeDatabase(recovered.Snapshot());
-  size_t matched = prefix_states.size();
-  for (size_t k = prefix_states.size(); k-- > 0;) {
-    if (state == prefix_states[k]) {
-      matched = k;
-      break;
-    }
-  }
+  const size_t matched = oracle::MatchPrefix(
+      prefix_states, EncodeDatabase(recovered.Snapshot()));
   ASSERT_LT(matched, prefix_states.size())
       << "recovered state matches no prefix (torn or reordered replay)";
   EXPECT_LE(matched, acked) << "recovery invented unacknowledged commits";
@@ -259,29 +209,27 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   }
 
   // The salvaged directory is healthy and writable again.
-  auto rescan = ScanStorage(&env, "t", FsckOptions());
+  auto rescan = ScanStorage(&env, "t", MakeSalvageOptions());
   ASSERT_TRUE(rescan.ok());
   EXPECT_EQ(rescan->verdict, SalvageVerdict::kClean);
   // If even the define was lost, re-run it; either way new writes work.
   auto resumed = recovered.Submit(matched >= 1 ? NthSentence(99)
-                                               : sentences[0]);
+                                               : program[0].sentence);
   EXPECT_TRUE(resumed.ok()) << resumed.status();
 }
 
+/// Seeds 1..TTRA_FAULT_SEEDS.
+void SweepSeeds(bool checkpoints) {
+  oracle::ForEachSeed(1, oracle::SeedCount("TTRA_FAULT_SEEDS", 25) + 1, 1,
+                      [&](uint64_t seed) { RunSeed(seed, checkpoints); });
+}
+
 TEST(FaultTortureTest, SeededScheduleSweep) {
-  const size_t seeds = SeedCount();
-  for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunSeed(seed, /*checkpoints=*/false);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  SweepSeeds(/*checkpoints=*/false);
 }
 
 TEST(FaultTortureTest, CompactStorageSeededScheduleSweep) {
-  const size_t seeds = SeedCount();
-  for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    RunSeed(seed, /*checkpoints=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  SweepSeeds(/*checkpoints=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,31 +247,14 @@ TEST(FaultTortureTest, CompactStorageSeededScheduleSweep) {
 // atomically — never half a cross-shard sentence — and no acknowledged
 // batch is ever lost (acks happen only after the covering fsync).
 
-ShardedOptions ShardedSweepOptions() {
-  ShardedOptions options;
-  options.durable.sync_policy = SyncPolicy::kAlways;
-  options.durable.retry.max_attempts = 1;  // a fault is a crash, not a blip
-  options.group_commit.max_latency = std::chrono::microseconds(0);
-  options.shards = 2;
-  return options;
-}
-
-/// A relation name homed on `shard` under two shards.
-std::string TwoShardName(size_t shard) {
-  for (int i = 0;; ++i) {
-    std::string candidate = "rel" + std::to_string(i);
-    if (ShardOfName(candidate, 2) == shard) return candidate;
-  }
-}
-
 /// The sweep workload: two relations on distinct shards, alternating
-/// single-shard sentences with cross-shard (multi-relation) ones.
-std::vector<std::vector<Command>> ShardedSweepSentences() {
-  const std::string a = TwoShardName(0);
-  const std::string b = TwoShardName(1);
+/// single-shard sentences with cross-shard (multi-relation) ones; every
+/// third sentence is submitted atomically.
+Program ShardedSweepProgram() {
+  const std::string a = oracle::NameOnShard(0, 2);
+  const std::string b = oracle::NameOnShard(1, 2);
   auto modify = [](const std::string& name, int i) {
-    return Command(ModifySnapshotCmd{
-        name, *SnapshotState::Make(OneIntSchema(), {Tuple{Value::Int(i)}})});
+    return oracle::ModifyInts(name, i, 1).front();
   };
   std::vector<std::vector<Command>> sentences;
   sentences.push_back(
@@ -335,20 +266,22 @@ std::vector<std::vector<Command>> ShardedSweepSentences() {
     sentences.push_back({modify(b, 100 + i)});
     sentences.push_back({modify(a, 200 + i), modify(b, 300 + i)});  // cross
   }
-  return sentences;
+  Program program;
+  for (size_t i = 0; i < sentences.size(); ++i) {
+    program.push_back({std::move(sentences[i]), i % 3 == 2});
+  }
+  return program;
 }
 
 TEST(ShardedCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
-  const std::vector<std::vector<Command>> sentences = ShardedSweepSentences();
-  std::vector<std::string> prefix_states;
-  {
-    Database db{DatabaseOptions{}};
-    prefix_states.push_back(EncodeDatabase(db));
-    for (const auto& sentence : sentences) {
-      ASSERT_TRUE(ApplySentence(db, sentence).ok());
-      prefix_states.push_back(EncodeDatabase(db));
-    }
-  }
+  const Program program = ShardedSweepProgram();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(program);
+  ASSERT_EQ(oracle.acks, std::vector<bool>(program.size(), true));
+  const std::vector<std::string>& prefix_states = oracle.prefixes;
+  auto submit = [](ShardedExecutor& exec, const oracle::Step& step) {
+    return step.atomic ? exec.SubmitAtomic(step.sentence)
+                       : exec.Submit(step.sentence);
+  };
 
   // Fault-free run sizes the sweep: ops counted from after Start() (the
   // directory bootstrap is not a crash point of the commit protocol)
@@ -356,12 +289,11 @@ TEST(ShardedCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
   uint64_t sweep_ops = 0;
   {
     FaultInjectionEnv env;
-    ShardedExecutor exec(&env, "t", ShardedSweepOptions());
+    ShardedExecutor exec(&env, "t", oracle::FastOptions(2));
     ASSERT_TRUE(exec.Start().ok());
     const uint64_t before = env.op_count();
-    for (size_t i = 0; i < sentences.size(); ++i) {
-      auto result = i % 3 == 2 ? exec.SubmitAtomic(sentences[i])
-                               : exec.Submit(sentences[i]);
+    for (const oracle::Step& step : program) {
+      auto result = submit(exec, step);
       ASSERT_TRUE(result.ok()) << result.status();
     }
     exec.Stop();
@@ -377,18 +309,17 @@ TEST(ShardedCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
     FaultInjectionEnv env;
     size_t acked = 0;
     {
-      ShardedExecutor exec(&env, "t", ShardedSweepOptions());
+      ShardedExecutor exec(&env, "t", oracle::FastOptions(2));
       ASSERT_TRUE(exec.Start().ok());
       env.InjectFault(n, mode);
       bool failed = false;
       TransactionNumber last_txn = 0;
-      for (size_t i = 0; i < sentences.size(); ++i) {
-        auto result = i % 3 == 2 ? exec.SubmitAtomic(sentences[i])
-                                 : exec.Submit(sentences[i]);
+      for (const oracle::Step& step : program) {
+        auto result = submit(exec, step);
         if (result.ok()) {
           ASSERT_FALSE(failed) << "write accepted after the executor degraded";
           // Every command of the sentence consumes one transaction number.
-          ASSERT_EQ(*result, last_txn + sentences[i].size())
+          ASSERT_EQ(*result, last_txn + step.sentence.size())
               << "transaction chain has a gap";
           last_txn = *result;
           ++acked;
@@ -414,14 +345,14 @@ TEST(ShardedCrashSweepTest, EveryCrashPointRecoversTheAckedPrefix) {
 
     // The crash leaves at worst torn (unsynced) tails; repair if the
     // sweep ever produces stranded records, then recovery must succeed.
-    auto scan = ScanStorage(&env, "t", FsckOptions());
+    auto scan = ScanStorage(&env, "t", MakeSalvageOptions());
     ASSERT_TRUE(scan.ok()) << scan.status();
     ASSERT_NE(scan->verdict, SalvageVerdict::kUnrecoverable);
     if (scan->verdict == SalvageVerdict::kNeedsRepair) {
-      auto repaired = RepairStorage(&env, "t", FsckOptions());
+      auto repaired = RepairStorage(&env, "t", MakeSalvageOptions());
       ASSERT_TRUE(repaired.ok()) << repaired.status();
     }
-    ShardedExecutor recovered(&env, "t", ShardedSweepOptions());
+    ShardedExecutor recovered(&env, "t", oracle::FastOptions(2));
     ASSERT_TRUE(recovered.Start().ok());
 
     // Exactly the acknowledged prefix: nothing lost (acks follow the

@@ -5,6 +5,7 @@
 
 #include "lang/evaluator.h"
 #include "lang/parser.h"
+#include "oracle_harness.h"
 #include "workload/generator.h"
 
 namespace ttra::lang {
@@ -165,11 +166,7 @@ TEST_P(ProgramFuzz, PrintedProgramsReExecuteIdentically) {
   ASSERT_TRUE(ExecProgram(program, direct).ok());
   Database via_text;
   ASSERT_TRUE(ExecProgram(*reparsed, via_text).ok());
-  ASSERT_EQ(direct.transaction_number(), via_text.transaction_number());
-  for (TransactionNumber txn = 0; txn <= direct.transaction_number();
-       ++txn) {
-    EXPECT_EQ(*direct.Rollback("r", txn), *via_text.Rollback("r", txn));
-  }
+  oracle::ExpectSameHistory(direct, via_text);
 }
 
 }  // namespace

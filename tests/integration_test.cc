@@ -8,6 +8,7 @@
 #include "lang/evaluator.h"
 #include "lang/parser.h"
 #include "optimizer/rewriter.h"
+#include "oracle_harness.h"
 #include "quel/quel.h"
 #include "storage/serialize.h"
 #include "workload/generator.h"
@@ -231,12 +232,7 @@ TEST(IntegrationTest, LargeSentenceStressAcrossEngines) {
       }
     }
     ASSERT_TRUE(lang::ExecProgram(program, via_lang).ok());
-    ASSERT_EQ(via_commands.transaction_number(),
-              via_lang.transaction_number());
-    for (TransactionNumber txn = 0;
-         txn <= via_commands.transaction_number(); ++txn) {
-      EXPECT_EQ(*via_commands.Rollback("r", txn), *via_lang.Rollback("r", txn));
-    }
+    oracle::ExpectSameHistory(via_commands, via_lang);
   }
 }
 

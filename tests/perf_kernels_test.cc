@@ -8,6 +8,7 @@
 
 #include "historical/hoperators.h"
 #include "lang/evaluator.h"
+#include "oracle_harness.h"
 #include "rollback/commands.h"
 #include "snapshot/operators.h"
 #include "storage/state_log.h"
@@ -231,11 +232,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheEquivalenceTest,
 TEST_P(CacheEquivalenceTest, AllEnginesAgreeWithCacheOnAndOff) {
   workload::Generator gen(GetParam() + 900);
   const Schema schema = gen.RandomSchema();
-  const std::vector<StorageKind> kinds = {
-      StorageKind::kFullCopy, StorageKind::kDelta, StorageKind::kCheckpoint,
-      StorageKind::kReverseDelta};
   std::vector<std::unique_ptr<StateLog<SnapshotState>>> logs;
-  for (StorageKind kind : kinds) {
+  for (StorageKind kind : oracle::kStorageKinds) {
     logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/8));
     logs.push_back(MakeStateLog<SnapshotState>(kind, 4, /*cache=*/0));
   }

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "lang/evaluator.h"
+#include "oracle_harness.h"
 #include "rollback/persistence.h"
 #include "workload/generator.h"
 
@@ -76,9 +77,7 @@ TEST(PersistenceTest, RestoredDatabaseContinuesCorrectly) {
 TEST(PersistenceTest, EngineChangesAcrossSaveLoad) {
   Database db = BuildSampleDb();
   const std::string bytes = EncodeDatabase(db);
-  for (StorageKind kind : {StorageKind::kFullCopy, StorageKind::kDelta,
-                           StorageKind::kCheckpoint,
-                           StorageKind::kReverseDelta}) {
+  for (StorageKind kind : oracle::kStorageKinds) {
     auto restored = DecodeDatabase(bytes, DatabaseOptions{kind, 4});
     ASSERT_TRUE(restored.ok()) << StorageKindName(kind);
     ExpectDatabasesEqual(db, *restored);

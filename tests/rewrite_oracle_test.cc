@@ -1,9 +1,11 @@
 // Oracle for the facts-driven rewriter (OptimizeWithFacts/OptimizeProgram):
 // a rewritten program must be observably equivalent to the original — same
-// statuses, same show outputs, byte-identical final database — on every
-// storage engine. This is the soundness gate for the abstract interpreter's
-// consumers (DESIGN.md §10): if a fact ever over-claims, some engine/seed
-// pair here diverges.
+// statuses, same show outputs, byte-identical final database, equal under ρ
+// at every epoch — on every storage engine. The original program is the
+// oracle, the harness's storage-kind list the engines and its checkers the
+// comparison (DESIGN.md §7). This is the soundness gate for the abstract
+// interpreter's consumers (DESIGN.md §10): if a fact ever over-claims, some
+// engine/seed pair here diverges.
 
 #include <gtest/gtest.h>
 
@@ -13,48 +15,47 @@
 #include "lang/absint.h"
 #include "lang/evaluator.h"
 #include "lang/parser.h"
+#include "oracle_harness.h"
 #include "optimizer/rewriter.h"
-#include "rollback/persistence.h"
 #include "workload/generator.h"
 
 namespace ttra {
 namespace {
 
-constexpr StorageKind kEngines[] = {
-    StorageKind::kFullCopy, StorageKind::kDelta, StorageKind::kCheckpoint,
-    StorageKind::kReverseDelta};
-
 struct RunOutcome {
   bool ok = false;
   std::string status;
   std::vector<lang::StateValue> outputs;
-  TransactionNumber txn = 0;
-  std::string encoded;
+  Database db;
 };
 
 RunOutcome Execute(const lang::Program& program, StorageKind kind) {
   DatabaseOptions options;
   options.storage = kind;
-  Database db(options);
-  RunOutcome out;
+  RunOutcome out{false, "", {}, Database(options)};
   const Status status =
-      lang::ExecProgram(program, db, &out.outputs, {.strict = true});
+      lang::ExecProgram(program, out.db, &out.outputs, {.strict = true});
   out.ok = status.ok();
   out.status = status.ToString();
-  out.txn = db.transaction_number();
-  out.encoded = EncodeDatabase(db);
   return out;
+}
+
+/// The final databases agree byte for byte and under ρ at every epoch.
+void ExpectSameDatabase(const Database& a, const Database& b) {
+  EXPECT_EQ(a.transaction_number(), b.transaction_number());
+  EXPECT_EQ(EncodeDatabase(a), EncodeDatabase(b))
+      << "final database states differ";
+  oracle::ExpectSameHistory(a, b);
 }
 
 void ExpectEquivalentOnAllEngines(const lang::Program& original,
                                   const lang::Program& rewritten) {
-  for (StorageKind kind : kEngines) {
+  for (StorageKind kind : oracle::kStorageKinds) {
     SCOPED_TRACE(std::string("engine ") + std::string(StorageKindName(kind)));
     const RunOutcome a = Execute(original, kind);
     const RunOutcome b = Execute(rewritten, kind);
     EXPECT_EQ(a.ok, b.ok) << a.status << " vs " << b.status;
-    EXPECT_EQ(a.txn, b.txn);
-    EXPECT_EQ(a.encoded, b.encoded) << "final database states differ";
+    ExpectSameDatabase(a.db, b.db);
     ASSERT_EQ(a.outputs.size(), b.outputs.size());
     for (size_t i = 0; i < a.outputs.size(); ++i) {
       EXPECT_TRUE(a.outputs[i] == b.outputs[i]) << "show output " << i;
@@ -88,7 +89,7 @@ int CheckWholeProgram(const std::string& source) {
 /// the database it is about to run on (exactly what `ttra run --optimize`
 /// does), in strict and lax modes.
 void CheckPerStatement(const lang::Program& program, bool strict) {
-  for (StorageKind kind : kEngines) {
+  for (StorageKind kind : oracle::kStorageKinds) {
     SCOPED_TRACE(std::string("engine ") + std::string(StorageKindName(kind)) +
                  (strict ? " strict" : " lax"));
     DatabaseOptions options;
@@ -113,8 +114,7 @@ void CheckPerStatement(const lang::Program& program, bool strict) {
           << sa.ToString() << " vs " << sb.ToString();
       if (strict && (!sa.ok() || !sb.ok())) break;
     }
-    EXPECT_EQ(a.transaction_number(), b.transaction_number());
-    EXPECT_EQ(EncodeDatabase(a), EncodeDatabase(b));
+    ExpectSameDatabase(a, b);
     ASSERT_EQ(out_a.size(), out_b.size());
     for (size_t i = 0; i < out_a.size(); ++i) {
       EXPECT_TRUE(out_a[i] == out_b[i]) << "show output " << i;

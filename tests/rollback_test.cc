@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "oracle_harness.h"
 #include "rollback/commands.h"
 #include "rollback/database.h"
 #include "rollback/relation.h"
@@ -8,19 +9,8 @@
 namespace ttra {
 namespace {
 
-Schema EmpSchema() {
-  return *Schema::Make({{"name", ValueType::kString},
-                        {"salary", ValueType::kInt}});
-}
-
-SnapshotState EmpState(std::vector<std::pair<std::string, int64_t>> rows) {
-  std::vector<Tuple> tuples;
-  tuples.reserve(rows.size());
-  for (auto& [name, salary] : rows) {
-    tuples.push_back(Tuple{Value::String(name), Value::Int(salary)});
-  }
-  return *SnapshotState::Make(EmpSchema(), std::move(tuples));
-}
+using oracle::EmpSchema;
+using oracle::EmpState;
 
 HistoricalState EmpHistory(
     std::vector<std::tuple<std::string, int64_t, Interval>> rows) {

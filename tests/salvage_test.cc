@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
+#include "oracle_harness.h"
 #include "storage/wal.h"
 
 namespace ttra {
 namespace {
+
+using oracle::NameOnShard;
+using oracle::OneIntSchema;
 
 // ScanStorage/RepairStorage behind `ttra fsck`: the scan classifies the
 // damage (exit codes 0/1/3/4), repair quarantines the damaged bytes and
@@ -155,8 +155,9 @@ TEST(SalvageScanTest, InvalidCheckpointIsUnrecoverable) {
   // no engine reads any more: one finding naming the file, whatever it
   // holds, and exit 4.
   InMemoryEnv env;
-  const std::string wal = MakeWal(&env, "d", {"r0"});
+  MakeWal(&env, "d", {"r0"});
   Overwrite(&env, "d/checkpoint.db", "not a checkpoint");
+  const auto before = oracle::DirImage(env, "d");
   auto report = ScanStorage(&env, "d");
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->verdict, SalvageVerdict::kUnrecoverable);
@@ -172,10 +173,7 @@ TEST(SalvageScanTest, InvalidCheckpointIsUnrecoverable) {
   ASSERT_TRUE(repair.ok());
   EXPECT_FALSE(repair->repaired);
   EXPECT_EQ(SalvageExitCode(*repair), 4);
-  EXPECT_EQ(*env.Read("d/wal.log"), wal);
-  EXPECT_EQ(*env.Read("d/checkpoint.db"), "not a checkpoint");
-  EXPECT_EQ(*env.List("d"),
-            (std::vector<std::string>{"checkpoint.db", "wal.log"}));
+  EXPECT_EQ(oracle::DirImage(env, "d"), before);
 }
 
 TEST(SalvageScanTest, SemanticValidatorCutsAtChecksummedGarbage) {
@@ -239,27 +237,12 @@ TEST(SalvageReportTest, VerdictNamesAreStable) {
 
 // --- End to end with the executor ------------------------------------------
 
-Schema OneIntSchema() {
-  return *Schema::Make({{"n", ValueType::kInt}});
+/// `name` := rows 0..i.
+std::vector<Command> ModifyOf(const std::string& name, int i) {
+  return oracle::ModifyInts(name, 0, i + 1);
 }
 
-std::vector<Command> NthSentence(int i) {
-  std::vector<Tuple> rows;
-  for (int k = 0; k <= i; ++k) rows.push_back(Tuple{Value::Int(k)});
-  std::vector<Command> sentence;
-  sentence.push_back(ModifySnapshotCmd{
-      "r", *SnapshotState::Make(OneIntSchema(), std::move(rows))});
-  return sentence;
-}
-
-/// The CLI's configuration: semantic validation via the rollback decoders.
-SalvageOptions ExecutorSalvageOptions() {
-  SalvageOptions options;
-  options.validate_record = [](std::string_view payload) {
-    return DecodeWalRecord(payload).status();
-  };
-  return options;
-}
+std::vector<Command> NthSentence(int i) { return ModifyOf("r", i); }
 
 TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
   InMemoryEnv env;
@@ -294,7 +277,7 @@ TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
         << refused.message();
   }
 
-  auto report = RepairStorage(&env, "d", ExecutorSalvageOptions());
+  auto report = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->repaired);
   EXPECT_EQ(SalvageExitCode(*report), 1);
@@ -316,79 +299,59 @@ TEST(SalvageEndToEndTest, RepairTurnsARefusedRecoveryIntoASuccessfulOne) {
 
 // --- Sharded layout ---------------------------------------------------------
 
-/// The CLI's configuration for a sharded directory: shard-protocol records
-/// validated via the sharded decoder.
-SalvageOptions ShardedSalvageOptions() {
-  SalvageOptions options;
-  options.validate_shard_record = [](std::string_view payload) {
-    return DecodeShardRecord(payload).status();
-  };
-  return options;
-}
-
-/// A relation name whose home is `shard` under `shards` shards.
-std::string NameOnShard(size_t shard, size_t shards) {
-  for (int i = 0;; ++i) {
-    std::string candidate = "rel" + std::to_string(i);
-    if (ShardOfName(candidate, shards) == shard) return candidate;
-  }
-}
-
-std::vector<Command> ModifyOf(const std::string& name, int i) {
-  std::vector<Tuple> rows;
-  for (int k = 0; k <= i; ++k) rows.push_back(Tuple{Value::Int(k)});
-  std::vector<Command> sentence;
-  sentence.push_back(ModifySnapshotCmd{
-      name, *SnapshotState::Make(OneIntSchema(), std::move(rows))});
-  return sentence;
-}
-
 /// Builds a 2-shard store with a deterministic alternating workload and
-/// returns the sentences in commit order (each synchronous Submit is its
-/// own batch). Shard 1's WAL ends up holding: prepare+commit for the
-/// define of r1, then for each of its two modifies.
-std::vector<std::vector<Command>> BuildShardedStore(Env* env,
-                                                    const std::string& dir) {
+/// returns the serial oracle of the sentences in commit order (each
+/// synchronous Submit is its own batch). Shard 1's WAL ends up holding:
+/// prepare+commit for the define of r1, then for each of its two modifies.
+oracle::OracleRun BuildShardedStore(Env* env, const std::string& dir) {
   const std::string on0 = NameOnShard(0, 2);
   const std::string on1 = NameOnShard(1, 2);
-  std::vector<std::vector<Command>> sentences;
-  sentences.push_back({Command{DefineRelationCmd{
-      on0, RelationType::kRollback, OneIntSchema()}}});
-  sentences.push_back({Command{DefineRelationCmd{
-      on1, RelationType::kRollback, OneIntSchema()}}});
-  sentences.push_back(ModifyOf(on0, 0));  // base 2
-  sentences.push_back(ModifyOf(on1, 1));  // base 3
-  sentences.push_back(ModifyOf(on0, 2));  // base 4
-  sentences.push_back(ModifyOf(on1, 3));  // base 5
-  sentences.push_back(ModifyOf(on0, 4));  // base 6
+  oracle::Program program;
+  program.push_back({{DefineRelationCmd{on0, RelationType::kRollback,
+                                        OneIntSchema()}}});
+  program.push_back({{DefineRelationCmd{on1, RelationType::kRollback,
+                                        OneIntSchema()}}});
+  program.push_back({ModifyOf(on0, 0)});  // base 2
+  program.push_back({ModifyOf(on1, 1)});  // base 3
+  program.push_back({ModifyOf(on0, 2)});  // base 4
+  program.push_back({ModifyOf(on1, 3)});  // base 5
+  program.push_back({ModifyOf(on0, 4)});  // base 6
 
-  ShardedOptions options;
-  options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_latency = std::chrono::microseconds(0);
-  options.shards = 2;
-  ShardedExecutor exec(env, dir, options);
+  ShardedExecutor exec(env, dir, oracle::FastOptions(2));
   EXPECT_TRUE(exec.Start().ok());
-  for (const auto& sentence : sentences) {
-    EXPECT_TRUE(exec.Submit(sentence).ok());
+  for (const oracle::Step& step : program) {
+    EXPECT_TRUE(exec.Submit(step.sentence).ok());
   }
   exec.Stop();
-  return sentences;
+  return oracle::RunSerialOracle(program);
 }
 
-/// Oracle: the database after serially applying `sentences[0..n)`.
-std::string PrefixEncoding(const std::vector<std::vector<Command>>& sentences,
-                           size_t n) {
-  Database db{DatabaseOptions{}};
-  for (size_t i = 0; i < n; ++i) {
-    (void)ApplySentence(db, sentences[i]);
-  }
-  return EncodeDatabase(db);
+TEST(ShardedSalvageTest, ShardCountBeyondMaxShardsIsAnInvalidManifest) {
+  // The scan and ShardedExecutor::Start() share one MANIFEST parser: a
+  // count beyond kMaxShards is an invalid manifest to both, never a layout
+  // whose "missing" shard WALs repair would create.
+  InMemoryEnv env;
+  BuildShardedStore(&env, "d");
+  Overwrite(&env, "d/MANIFEST", FormatShardManifest(kMaxShards + 976));
+  const auto before = oracle::DirImage(env, "d");
+  auto report = ScanStorage(&env, "d", MakeSalvageOptions());
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->findings.size(), 1u);
+  EXPECT_EQ(report->findings[0].cause, "manifest-invalid");
+  EXPECT_EQ(SalvageExitCode(*report), 4);
+  auto repair = RepairStorage(&env, "d", MakeSalvageOptions());
+  ASSERT_TRUE(repair.ok()) << repair.status();
+  EXPECT_FALSE(repair->repaired);
+  EXPECT_EQ(SalvageExitCode(*repair), 4);
+  EXPECT_EQ(oracle::DirImage(env, "d"), before);
+  ShardedExecutor exec(&env, "d");
+  EXPECT_EQ(exec.Start().code(), ErrorCode::kCorruption);
 }
 
 TEST(ShardedSalvageTest, CleanShardedDirectoryScansCleanPerLog) {
   InMemoryEnv env;
   BuildShardedStore(&env, "d");
-  auto report = ScanStorage(&env, "d", ShardedSalvageOptions());
+  auto report = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(report->sharded);
   EXPECT_EQ(report->shards, 2u);
@@ -415,11 +378,11 @@ TEST(ShardedSalvageTest, MissingShardWalIsFlaggedAndRecreatedByRepair) {
   InMemoryEnv env;
   BuildShardedStore(&env, "d");
   ASSERT_TRUE(env.Remove("d/" + ShardWalFile(1)).ok());
-  auto scan = ScanStorage(&env, "d", ShardedSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok());
   ASSERT_FALSE(scan->findings.empty());
   EXPECT_EQ(scan->findings[0].cause, "missing-log");
-  auto repair = RepairStorage(&env, "d", ShardedSalvageOptions());
+  auto repair = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repair.ok());
   EXPECT_TRUE(repair->repaired);
   auto read = ReadWal(env, "d/" + ShardWalFile(1));
@@ -437,17 +400,17 @@ TEST(ShardedSalvageTest, RepairingOneShardsTornTailRecoversAConsistentPrefix) {
   // this is damage to durable data, and fsck's contract is a consistent
   // prefix plus nothing silently deleted, not resurrection.
   InMemoryEnv env;
-  const auto sentences = BuildShardedStore(&env, "d");
+  const oracle::OracleRun oracle = BuildShardedStore(&env, "d");
   const std::string shard1 = "d/" + ShardWalFile(1);
   const std::string image = *env.Read(shard1);
   Overwrite(&env, shard1, image.substr(0, image.size() - 3));
 
-  auto scan = ScanStorage(&env, "d", ShardedSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->verdict, SalvageVerdict::kTruncatedTail);
   EXPECT_EQ(SalvageExitCode(*scan), 1);
 
-  auto repair = RepairStorage(&env, "d", ShardedSalvageOptions());
+  auto repair = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repair.ok()) << repair.status();
   EXPECT_TRUE(repair->repaired);
   EXPECT_TRUE(env.Exists(shard1 + ".quarantine"));
@@ -460,7 +423,7 @@ TEST(ShardedSalvageTest, RepairingOneShardsTornTailRecoversAConsistentPrefix) {
   // The base-5 batch lost its commit record (in-doubt, dropped); the
   // base-6 batch on shard 0 is beyond the gap (dropped). What survives is
   // exactly the first five sentences — transaction numbers 1..5.
-  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), PrefixEncoding(sentences, 5));
+  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), oracle.prefixes[5]);
   EXPECT_EQ(exec.last_recovery().dropped_in_doubt, 2u);
   // The repaired store is live again.
   EXPECT_TRUE(exec.Submit(ModifyOf(NameOnShard(1, 2), 7)).ok());
@@ -472,7 +435,7 @@ TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
   // recovery refuses with the fsck hint; repair cuts at the hole; the
   // recovered prefix is again globally consistent.
   InMemoryEnv env;
-  const auto sentences = BuildShardedStore(&env, "d");
+  const oracle::OracleRun oracle = BuildShardedStore(&env, "d");
   const std::string shard1 = "d/" + ShardWalFile(1);
   std::string image = *env.Read(shard1);
   auto intact = ReadWal(env, shard1);
@@ -492,11 +455,11 @@ TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
     EXPECT_NE(refused.message().find("fsck"), std::string::npos);
   }
 
-  auto scan = ScanStorage(&env, "d", ShardedSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->verdict, SalvageVerdict::kNeedsRepair);
   EXPECT_EQ(SalvageExitCode(*scan), 3);
-  auto repair = RepairStorage(&env, "d", ShardedSalvageOptions());
+  auto repair = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repair.ok()) << repair.status();
   EXPECT_TRUE(repair->repaired);
 
@@ -506,7 +469,7 @@ TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
   ASSERT_TRUE(exec.Start().ok());
   // The base-3 batch lost its commit record; everything from base 3 on is
   // dropped. Prefix = defines + the first modify.
-  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), PrefixEncoding(sentences, 3));
+  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), oracle.prefixes[3]);
   exec.Stop();
 }
 
@@ -521,20 +484,6 @@ TEST(ShardedSalvageTest, MidLogDamageInOneShardRefusesThenRepairs) {
 // the retained WAL; if the WAL cannot prove it replays from transaction 0
 // (it was truncated by an online compaction), that damage is honestly
 // unrecoverable (exit 4).
-
-/// The CLI's fsck configuration for a compact directory: executor options
-/// plus the pre-txn extractor that proves WAL rebuildability.
-SalvageOptions CompactSalvageOptions() {
-  SalvageOptions options = ExecutorSalvageOptions();
-  options.wal_record_pre_txn =
-      [](std::string_view payload) -> Result<TransactionNumber> {
-    auto decoded = DecodeWalRecord(payload);
-    if (!decoded.ok()) return decoded.status();
-    if (decoded->empty()) return CorruptionError("empty wal record");
-    return decoded->front().pre_txn;
-  };
-  return options;
-}
 
 DurableOptions CompactExecutorOptions() {
   DurableOptions options;
@@ -574,7 +523,7 @@ std::string SegmentPathIn(Env* env, const std::string& dir) {
 TEST(CompactSalvageTest, CleanCompactDirectoryScansCleanPerSegment) {
   InMemoryEnv env;
   BuildCompactDir(&env, "d");
-  auto report = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto report = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->verdict, SalvageVerdict::kClean);
   EXPECT_TRUE(report->compact);
@@ -597,13 +546,13 @@ TEST(CompactSalvageTest, TornSegmentTailIsCutNotQuarantined) {
   ASSERT_TRUE(env.Append(seg, "torn keyframe bytes").ok());
   ASSERT_TRUE(env.Sync(seg).ok());
 
-  auto report = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto report = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->verdict, SalvageVerdict::kTruncatedTail);
   EXPECT_FALSE(report->compact_state_damaged);
   EXPECT_EQ(SalvageExitCode(*report), 1);
 
-  auto repaired = RepairStorage(&env, "d", CompactSalvageOptions());
+  auto repaired = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_TRUE(repaired->repaired);
   EXPECT_FALSE(repaired->compact_state_quarantined);
@@ -624,7 +573,7 @@ TEST(CompactSalvageTest, BitFlippedCoveredDeltaQuarantinesTheCompactState) {
   image[image.size() / 2] ^= 0x10;
   Overwrite(&env, seg, image);
 
-  auto scan = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_EQ(scan->verdict, SalvageVerdict::kNeedsRepair);
   EXPECT_TRUE(scan->compact_state_damaged);
@@ -639,7 +588,7 @@ TEST(CompactSalvageTest, BitFlippedCoveredDeltaQuarantinesTheCompactState) {
     EXPECT_EQ(refused.code(), ErrorCode::kCorruption);
   }
 
-  auto repaired = RepairStorage(&env, "d", CompactSalvageOptions());
+  auto repaired = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_TRUE(repaired->repaired);
   EXPECT_TRUE(repaired->compact_state_quarantined);
@@ -661,7 +610,7 @@ TEST(CompactSalvageTest, MissingSegmentFileQuarantinesTheCompactState) {
   const std::string expected = BuildCompactDir(&env, "d");
   ASSERT_TRUE(env.Remove(SegmentPathIn(&env, "d")).ok());
 
-  auto scan = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_EQ(scan->verdict, SalvageVerdict::kNeedsRepair);
   EXPECT_TRUE(scan->compact_state_damaged);
@@ -671,7 +620,7 @@ TEST(CompactSalvageTest, MissingSegmentFileQuarantinesTheCompactState) {
   }
   EXPECT_TRUE(missing_finding);
 
-  auto repaired = RepairStorage(&env, "d", CompactSalvageOptions());
+  auto repaired = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_TRUE(repaired->compact_state_quarantined);
   DurableExecutor exec(&env, "d", CompactExecutorOptions());
@@ -698,12 +647,12 @@ TEST(CompactSalvageTest, CoveredDamageAfterOnlineCompactionIsUnrecoverable) {
   image[image.size() / 2] ^= 0x10;
   Overwrite(&env, seg, image);
 
-  auto scan = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_EQ(scan->verdict, SalvageVerdict::kUnrecoverable);
   EXPECT_EQ(SalvageExitCode(*scan), 4);
   // Repair refuses to fabricate a base: nothing is moved.
-  auto repaired = RepairStorage(&env, "d", CompactSalvageOptions());
+  auto repaired = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   EXPECT_FALSE(repaired->repaired);
   EXPECT_TRUE(env.Exists("d/segments.manifest"));
@@ -712,7 +661,7 @@ TEST(CompactSalvageTest, CoveredDamageAfterOnlineCompactionIsUnrecoverable) {
 TEST(CompactSalvageTest, JsonCarriesTheCompactSection) {
   InMemoryEnv env;
   BuildCompactDir(&env, "d");
-  auto report = ScanStorage(&env, "d", CompactSalvageOptions());
+  auto report = ScanStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(report.ok());
   const std::string json = SalvageReportToJson(*report);
   EXPECT_NE(json.find("\"compact\": true"), std::string::npos) << json;

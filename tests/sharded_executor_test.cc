@@ -6,48 +6,21 @@
 #include <string>
 #include <vector>
 
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
-#include "storage/env.h"
+#include "oracle_harness.h"
 
 namespace ttra {
 namespace {
+
+using oracle::EmpSchema;
+using oracle::DirImage;
+using oracle::EmpState;
+using oracle::FastOptions;
+using oracle::NameOnShard;
 
 // Deterministic unit tests for the sharded multi-writer executor: layout
 // and routing, restart recovery, MANIFEST authority, cross-shard atomic
 // sentences, checkpointing and degraded mode. The randomized end-to-end
 // contract (merged order ≡ serial replay) lives in concurrent_oracle_test.
-
-Schema EmpSchema() {
-  return *Schema::Make(
-      {{"name", ValueType::kString}, {"salary", ValueType::kInt}});
-}
-
-SnapshotState EmpState(
-    std::initializer_list<std::pair<const char*, int64_t>> rows) {
-  std::vector<Tuple> tuples;
-  for (const auto& [name, salary] : rows) {
-    tuples.push_back(Tuple{Value::String(name), Value::Int(salary)});
-  }
-  return *SnapshotState::Make(EmpSchema(), std::move(tuples));
-}
-
-ShardedOptions FastOptions(size_t shards) {
-  ShardedOptions options;
-  options.durable.sync_policy = SyncPolicy::kAlways;
-  options.group_commit.max_latency = std::chrono::microseconds(0);
-  options.shards = shards;
-  return options;
-}
-
-/// Relation names guaranteed to live on `shard` under `shards` shards.
-std::string NameOnShard(size_t shard, size_t shards, int salt = 0) {
-  for (int i = 0;; ++i) {
-    std::string candidate =
-        "rel_" + std::to_string(salt) + "_" + std::to_string(i);
-    if (ShardOfName(candidate, shards) == shard) return candidate;
-  }
-}
 
 TEST(ShardRoutingTest, ShardOfNameIsDeterministicAndInRange) {
   const std::vector<std::string> names = {"emp", "dept", "t0", "r1", ""};
@@ -167,17 +140,6 @@ TEST(ShardLayoutTest, SingleWriterRefusesShardedDirectory) {
   ASSERT_TRUE(reopened.Start().ok());
   EXPECT_NE(reopened.Snapshot().Find("emp"), nullptr);
   reopened.Stop();
-}
-
-/// Every file of `dir` with its bytes.
-std::map<std::string, std::string> DirImage(const Env& env,
-                                            const std::string& dir) {
-  std::map<std::string, std::string> image;
-  const std::vector<std::string> names = *env.List(dir);
-  for (const std::string& name : names) {
-    image[name] = *env.Read(dir + "/" + name);
-  }
-  return image;
 }
 
 /// Rewrites a live directory into the retired full-image layout: its

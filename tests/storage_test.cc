@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "oracle_harness.h"
 #include "rollback/commands.h"
 #include "storage/logs.h"
 #include "storage/serialize.h"
@@ -30,10 +31,7 @@ class EngineTest : public ::testing::TestWithParam<StorageKind> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineTest,
-                         ::testing::Values(StorageKind::kFullCopy,
-                                           StorageKind::kDelta,
-                                           StorageKind::kCheckpoint,
-                                           StorageKind::kReverseDelta),
+                         ::testing::ValuesIn(oracle::kStorageKinds),
                          [](const auto& info) {
                            switch (info.param) {
                              case StorageKind::kFullCopy:

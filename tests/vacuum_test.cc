@@ -4,12 +4,9 @@
 #include <thread>
 
 #include "lang/evaluator.h"
+#include "oracle_harness.h"
 #include "rollback/compact_store.h"
-#include "rollback/durable_executor.h"
-#include "rollback/persistence.h"
-#include "rollback/sharded_executor.h"
 #include "rollback/vacuum.h"
-#include "storage/env.h"
 #include "storage/salvage.h"
 #include "storage/wal.h"
 #include "workload/generator.h"
@@ -152,12 +149,8 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
   // operate on EXACTLY the salvaged prefix: archive + online answers
   // together reproduce it, with no trace of the quarantined commits.
   InMemoryEnv env;
-  Schema schema = *Schema::Make({{"n", ValueType::kInt}});
-  auto nth_state = [&](int i) {
-    std::vector<Tuple> rows;
-    for (int k = 0; k <= i; ++k) rows.push_back(Tuple{Value::Int(k)});
-    return *SnapshotState::Make(schema, std::move(rows));
-  };
+  const Schema schema = oracle::OneIntSchema();
+  auto nth_state = [](int i) { return oracle::IntRows(0, i + 1); };
   {
     DurableExecutor exec(&env, "d", DurableOptions{});
     ASSERT_TRUE(exec.Open().ok());
@@ -181,11 +174,7 @@ TEST(VacuumTest, CompactsTheSalvagedPrefixOfAnFsckRepairedWal) {
   ASSERT_TRUE(env.Append("d/wal.log", image).ok());
   ASSERT_TRUE(env.Sync("d/wal.log").ok());
 
-  SalvageOptions fsck;
-  fsck.validate_record = [](std::string_view payload) {
-    return DecodeWalRecord(payload).status();
-  };
-  auto repaired = RepairStorage(&env, "d", fsck);
+  auto repaired = RepairStorage(&env, "d", MakeSalvageOptions());
   ASSERT_TRUE(repaired.ok()) << repaired.status();
   ASSERT_TRUE(repaired->repaired);
 
@@ -250,14 +239,8 @@ TEST(OnlineCompactionTest, CompactionRacesWritersReadersAndProbes) {
   options.group_commit.max_latency = std::chrono::microseconds(50);
   ShardedExecutor exec(&env, "db", options);
   ASSERT_TRUE(exec.Start().ok());
-  Schema schema = *Schema::Make({{"n", ValueType::kInt}});
-  auto nth_state = [&](int i) {
-    std::vector<Tuple> rows;
-    for (int k = 0; k <= i % 4; ++k) {
-      rows.push_back(Tuple{Value::Int(i * 10 + k)});
-    }
-    return *SnapshotState::Make(schema, std::move(rows));
-  };
+  const Schema schema = oracle::OneIntSchema();
+  auto nth_state = [](int i) { return oracle::IntRows(i * 10, i % 4 + 1); };
   ASSERT_TRUE(exec.Submit(Command(DefineRelationCmd{
                       "r", RelationType::kRollback, schema}))
                   .ok());
@@ -315,15 +298,8 @@ TEST(OnlineCompactionTest, CompactionRacesWritersReadersAndProbes) {
   // the committed order, on-disk probe included.
   ASSERT_TRUE(exec.Checkpoint().ok());
   const Database db = exec.Snapshot();
-  const Relation* rel = db.Find("r");
-  ASSERT_NE(rel, nullptr);
-  for (TransactionNumber txn = 0; txn <= db.transaction_number(); ++txn) {
-    auto in_memory = rel->SnapshotAt(txn);
-    ASSERT_TRUE(in_memory.ok());
-    auto probed = exec.compact_store()->ProbeSnapshot("r", txn);
-    ASSERT_TRUE(probed.ok()) << probed.status();
-    EXPECT_EQ(*in_memory, *probed) << "txn " << txn;
-  }
+  ASSERT_NE(db.Find("r"), nullptr);
+  oracle::ExpectProbesMatch(*exec.compact_store(), db);
   exec.Stop();
 }
 

@@ -417,6 +417,25 @@ TEST(WalTest, AppendAfterReopenContinuesTheLog) {
   EXPECT_EQ(read->records, (std::vector<std::string>{"before", "after"}));
 }
 
+TEST(WalTest, AHeaderlessLogTakesNoFrames) {
+  // A Create() that fails after truncating (here: its header append) must
+  // not let a later frame land where the magic belongs, and reopening such
+  // a log writes the header first.
+  FaultInjectionEnv env;
+  WalWriter writer(&env, "wal");
+  ASSERT_TRUE(writer.Create().ok());
+  env.InjectFault(2, FaultInjectionEnv::FaultMode::kFailOp);
+  ASSERT_FALSE(writer.Create().ok());
+  EXPECT_EQ(writer.AddRecord("lost").code(), ErrorCode::kIoError);
+  ASSERT_TRUE(ReadWal(env, "wal").ok());
+  WalWriter reopened(&env, "wal");
+  ASSERT_TRUE(reopened.OpenForAppend().ok());
+  ASSERT_TRUE(reopened.AddRecord("kept").ok());
+  auto read = ReadWal(env, "wal");
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->records, std::vector<std::string>{"kept"});
+}
+
 // --- Adversarial inputs ----------------------------------------------------
 //
 // These tests hand-assemble damaged WAL images byte by byte. The framing

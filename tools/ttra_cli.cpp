@@ -301,65 +301,31 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
   // --fresh must not half-delete a legacy directory that the executors
   // would then refuse: refuse it whole, before anything is removed.
   TTRA_RETURN_IF_ERROR(RefuseLegacyLayout(*env, wal_dir));
-  if (IsShardedDir(*env, wal_dir)) {
-    // Shard count from the manifest when readable. A reset must also work
-    // when the manifest is itself the corrupt part, so on a read failure
-    // fall back to probing the contiguous shard numbering (bounded by the
-    // manifest's own kMaxShards cap) instead of silently leaving shard
-    // WALs behind to confuse the next recovery.
-    uint32_t shard_count = 0;
-    Result<uint32_t> shards = ReadShardManifest(*env, wal_dir);
-    if (shards.ok()) {
-      shard_count = *shards;
-    } else {
-      for (uint32_t k = 0; k < kMaxShards; ++k) {
-        if (!env->Exists(wal_dir + "/" + ShardWalFile(k)) &&
-            !env->Exists(wal_dir + "/" + ShardWalFile(k) + ".quarantine")) {
-          break;
-        }
-        shard_count = k + 1;
-      }
+  Result<std::vector<std::string>> entries = env->List(wal_dir);
+  if (!entries.ok()) return Status::Ok();  // no directory, nothing to reset
+  // Every file a layout owns, and its quarantined remains: the shard WALs
+  // and coordinator log of a sharded directory (whatever its MANIFEST says,
+  // which may be the corrupt part), the single-writer log, the checkpoint
+  // manifest chain and every segment file (including generations a
+  // damaged manifest no longer references). The MANIFEST goes last, so an
+  // interrupted reset still reads as sharded.
+  const bool sharded = IsShardedDir(*env, wal_dir);
+  constexpr std::string_view kQuarantine = ".quarantine";
+  for (const std::string& name : *entries) {
+    std::string_view base = name;
+    if (base.size() > kQuarantine.size() && base.ends_with(kQuarantine)) {
+      base.remove_suffix(kQuarantine.size());
     }
-    for (uint32_t k = 0; k < shard_count; ++k) {
-      for (const char* suffix : {"", ".quarantine"}) {
-        const std::string path = wal_dir + "/" + ShardWalFile(k) + suffix;
-        if (!env->Exists(path)) continue;
-        TTRA_RETURN_IF_ERROR(env->Remove(path));
-      }
-    }
-    for (const std::string& name :
-         {std::string(kCoordinatorLogFile),
-          std::string(kCoordinatorLogFile) + ".quarantine",
-          std::string(kShardManifestFile)}) {
-      const std::string path = wal_dir + "/" + name;
-      if (!env->Exists(path)) continue;
-      TTRA_RETURN_IF_ERROR(env->Remove(path));
-    }
+    const bool owned =
+        name == kWalFile || base == kCompactManifestFile ||
+        name == std::string(kCompactManifestFile) + ".tmp" ||
+        IsSegmentFileName(base) ||
+        (sharded && (base == kCoordinatorLogFile ||
+                     (base.starts_with("shard-") && base.ends_with(".wal"))));
+    if (owned) TTRA_RETURN_IF_ERROR(env->Remove(wal_dir + "/" + name));
   }
-  // The single-writer log, plus the checkpoint manifest chain and every
-  // segment file in the directory (a reset must also sweep generations a
-  // damaged manifest no longer references) and their quarantined
-  // remains.
-  for (const std::string& name :
-       {std::string("wal.log"), std::string(kCompactManifestFile),
-        std::string(kCompactManifestFile) + ".quarantine",
-        std::string(kCompactManifestFile) + ".tmp"}) {
-    const std::string path = wal_dir + "/" + name;
-    if (!env->Exists(path)) continue;
-    TTRA_RETURN_IF_ERROR(env->Remove(path));
-  }
-  if (Result<std::vector<std::string>> entries = env->List(wal_dir);
-      entries.ok()) {
-    constexpr std::string_view kQuarantine = ".quarantine";
-    for (const std::string& name : *entries) {
-      std::string_view base = name;
-      if (base.size() > kQuarantine.size() &&
-          base.substr(base.size() - kQuarantine.size()) == kQuarantine) {
-        base.remove_suffix(kQuarantine.size());
-      }
-      if (!IsSegmentFileName(base)) continue;
-      TTRA_RETURN_IF_ERROR(env->Remove(wal_dir + "/" + name));
-    }
+  if (sharded) {
+    TTRA_RETURN_IF_ERROR(env->Remove(wal_dir + "/" + kShardManifestFile));
   }
   return Status::Ok();
 }
@@ -772,33 +738,6 @@ int CmdVacuum(const Flags& flags) {
               static_cast<std::streamsize>(result->archive.size()));
   }
   return SaveIfRequested(*db, flags);
-}
-
-/// Salvage with full semantic validation: a WAL record must decode into
-/// logged sentences, not merely pass its checksum.
-SalvageOptions MakeSalvageOptions() {
-  SalvageOptions options;
-  options.validate_record = [](std::string_view payload) {
-    auto decoded = DecodeWalRecord(payload);
-    return decoded.ok() ? Status::Ok() : decoded.status();
-  };
-  options.validate_shard_record = [](std::string_view payload) {
-    auto decoded = DecodeShardRecord(payload);
-    return decoded.ok() ? Status::Ok() : decoded.status();
-  };
-  // Lets the scan prove that quarantining a damaged compact state is
-  // survivable: replay rebuilds from empty iff the first WAL record's
-  // pre-commit transaction number is 0.
-  options.wal_record_pre_txn =
-      [](std::string_view payload) -> Result<TransactionNumber> {
-    auto decoded = DecodeWalRecord(payload);
-    if (!decoded.ok()) return decoded.status();
-    if (decoded->empty()) {
-      return CorruptionError("wal record holds no logged sentence");
-    }
-    return decoded->front().pre_txn;
-  };
-  return options;
 }
 
 int CmdFsckHelp() {
