@@ -5,13 +5,19 @@
 // buy — batching N sentences into one WAL record + one fsync should move
 // commit throughput from the fsync floor toward the apply floor as the
 // batch grows. Both are measured on the single-shard ShardedExecutor,
-// the group-commit engine `ttra run --group-commit` uses.
+// the group-commit engine `ttra run --group-commit` uses. A third asks
+// what a checkpoint costs the writers (BM_CommitLatencyUnderCheckpoint).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <deque>
 #include <iostream>
 #include <memory>
+#include <thread>
+#include <utility>
 
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
@@ -53,11 +59,14 @@ void ResetDir(Env* env) {
       }
     }
   }
-  // Sharded layout (BM_ShardedCommitThroughput).
-  for (int k = 0; k < 8; ++k) {
-    (void)env->Remove(std::string(kDir) + "/" + ShardWalFile(k));
+  // Sharded layout: every generation of every log.
+  if (Result<std::vector<std::string>> files = env->List(kDir); files.ok()) {
+    for (const std::string& name : *files) {
+      if (ParseShardedLogName(name).has_value()) {
+        (void)env->Remove(std::string(kDir) + "/" + name);
+      }
+    }
   }
-  (void)env->Remove(std::string(kDir) + "/" + kCoordinatorLogFile);
   (void)env->Remove(std::string(kDir) + "/" + kShardManifestFile);
 }
 
@@ -204,6 +213,129 @@ BENCHMARK(BM_ShardedCommitThroughput)
     ->ArgName("shards")
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+/// Submit→ack latencies of `count` closed-loop commits, `window` in
+/// flight, in microseconds. The single shard acknowledges in order, so
+/// waiting on the oldest future observes each ack in turn.
+std::vector<double> CommitLatencies(
+    ShardedExecutor& exec, const std::vector<std::vector<Command>>& sentences,
+    size_t count, size_t window, bool* failed) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> latencies;
+  latencies.reserve(count);
+  std::deque<std::pair<std::future<Result<TransactionNumber>>, Clock::time_point>>
+      inflight;
+  auto collect = [&]() {
+    if (!inflight.front().first.get().ok()) *failed = true;
+    latencies.push_back(std::chrono::duration<double, std::micro>(
+                            Clock::now() - inflight.front().second)
+                            .count());
+    inflight.pop_front();
+  };
+  for (size_t i = 0; i < count; ++i) {
+    inflight.emplace_back(exec.SubmitAsync(sentences[i % sentences.size()]),
+                          Clock::now());
+    if (inflight.size() >= window) collect();
+  }
+  while (!inflight.empty()) collect();
+  return latencies;
+}
+
+double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0;
+  const size_t k = static_cast<size_t>(q * static_cast<double>(values.size() - 1));
+  std::nth_element(values.begin(), values.begin() + static_cast<long>(k),
+                   values.end());
+  return values[k];
+}
+
+/// Commit latency under checkpoints (Experiment E15): each iteration runs
+/// the same closed-loop commit phase twice on one single-shard executor,
+/// once alone and once while a second thread checkpoints back to back,
+/// and the counters compare the two phases' p99 within the run
+/// (p99_ratio = with / without, 1.0 = checkpoints cost the writers
+/// nothing). A checkpoint switches the logs to a new generation under a
+/// brief exclusive gate and writes its image while commits continue, so
+/// the ratio stays near 1 where holding the gate across the image would
+/// stall every writer for the whole write.
+void BM_CommitLatencyUnderCheckpoint(benchmark::State& state) {
+  Env* env = Env::Default();
+  ResetDir(env);
+  ShardedOptions options;
+  options.durable.sync_policy = SyncPolicy::kAlways;
+  options.group_commit.max_latency = std::chrono::microseconds(0);
+  ShardedExecutor exec(env, kDir, options);
+  if (!exec.Start().ok()) {
+    state.SkipWithError("cannot start executor");
+    return;
+  }
+  const Schema schema = BenchSchema();
+  workload::Generator gen(41);
+  constexpr int kRelations = 16;
+  std::vector<std::vector<Command>> sentences;
+  for (int i = 0; i < kRelations; ++i) {
+    const std::string name = "rel" + std::to_string(i);
+    if (!exec.Submit(Command{DefineRelationCmd{
+                         name, RelationType::kRollback, schema}})
+             .ok()) {
+      state.SkipWithError("define failed");
+      return;
+    }
+    for (int j = 0; j < 8; ++j) {
+      sentences.push_back({ModifySnapshotCmd{name, gen.RandomState(schema, 32)}});
+    }
+  }
+  constexpr size_t kCommits = 1024;
+  constexpr size_t kWindow = 32;
+  std::vector<double> without;
+  std::vector<double> with;
+  std::vector<double> checkpoint_ms;  // written by the checkpointer only
+  bool failed = false;
+  for (auto _ : state) {
+    std::vector<double> alone =
+        CommitLatencies(exec, sentences, kCommits, kWindow, &failed);
+    without.insert(without.end(), alone.begin(), alone.end());
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> checkpoint_failed{false};
+    std::thread checkpointer([&] {
+      while (!stop.load()) {
+        const auto start = std::chrono::steady_clock::now();
+        if (!exec.Checkpoint().ok()) checkpoint_failed = true;
+        checkpoint_ms.push_back(std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - start)
+                                    .count());
+      }
+    });
+    std::vector<double> racing =
+        CommitLatencies(exec, sentences, kCommits, kWindow, &failed);
+    stop = true;
+    checkpointer.join();
+    with.insert(with.end(), racing.begin(), racing.end());
+    if (failed || checkpoint_failed) {
+      state.SkipWithError("commit or checkpoint failed");
+      break;
+    }
+  }
+  const double p99_without = Percentile(without, 0.99);
+  const double p99_with = Percentile(with, 0.99);
+  state.SetItemsProcessed(static_cast<int64_t>(without.size() + with.size()));
+  state.counters["p50_without_us"] = Percentile(without, 0.5);
+  state.counters["p50_with_us"] = Percentile(with, 0.5);
+  state.counters["p99_without_us"] = p99_without;
+  state.counters["p99_with_us"] = p99_with;
+  state.counters["p99_ratio"] = p99_without == 0 ? 0 : p99_with / p99_without;
+  state.counters["checkpoints"] = static_cast<double>(checkpoint_ms.size());
+  state.counters["checkpoint_p50_ms"] = Percentile(checkpoint_ms, 0.5);
+  exec.Stop();
+  ResetDir(env);
+}
+// A fixed iteration count (8 × 2048 commits, some 8 checkpoints): enough
+// for a p99 however short --benchmark_min_time is.
+BENCHMARK(BM_CommitLatencyUnderCheckpoint)
+    ->Iterations(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Reader-session scaling, 1→16 threads: every thread opens a pinned
 /// session and evaluates ρ(emp, n) for random committed n. The database

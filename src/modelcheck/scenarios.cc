@@ -1,6 +1,7 @@
 #include "modelcheck/scenarios.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "rollback/sharded_executor.h"
 #include "storage/env.h"
+#include "storage/layout.h"
 #include "util/vthread.h"
 
 namespace ttra {
@@ -23,6 +25,41 @@ Schema TinySchema() {
 SnapshotState RowState(int64_t value) {
   return *SnapshotState::Make(TinySchema(), {Tuple{Value::Int(value)}});
 }
+
+/// InMemoryEnv that, once armed, fails the next creation (Truncate) of a
+/// shard log — the first step of a checkpoint's generation switch — and
+/// then counts the appends that still reach that file.
+class RotationFaultEnv : public InMemoryEnv {
+ public:
+  void Arm() { armed_.store(true); }
+  int appends_to_failed_log() const { return appends_to_failed_.load(); }
+
+  Status Truncate(const std::string& path) override {
+    if (IsShardLog(path) && armed_.exchange(false)) {
+      failed_path_ = path;
+      failed_.store(true);
+      return IoError("injected: cannot create " + path);
+    }
+    return InMemoryEnv::Truncate(path);
+  }
+
+  Status Append(const std::string& path, std::string_view data) override {
+    if (failed_.load() && path == failed_path_) appends_to_failed_.fetch_add(1);
+    return InMemoryEnv::Append(path, data);
+  }
+
+ private:
+  static bool IsShardLog(const std::string& path) {
+    const std::optional<ShardedLogName> name = ParseShardedLogName(
+        std::string_view(path).substr(path.rfind('/') + 1));
+    return name.has_value() && !name->coordinator;
+  }
+
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> failed_{false};
+  std::string failed_path_;  // written once, before failed_ is set
+  std::atomic<int> appends_to_failed_{0};
+};
 
 /// A relation name homed on `shard` (of `shards`) under ShardOfName.
 std::string NameOnShard(size_t shard, size_t shards) {
@@ -231,13 +268,112 @@ Scenario ShardedCrossShardScenario(bool seeded_bug) {
   return scenario;
 }
 
+Scenario ShardedCheckpointScenario(bool fail_rotation) {
+  Scenario scenario;
+  scenario.name =
+      fail_rotation ? "sharded-checkpoint-fault" : "sharded-checkpoint";
+  scenario.description =
+      fail_rotation
+          ? "ShardedExecutor, 1 shard: a client commits while Checkpoint() "
+            "fails to create the next log generation; the sentence commits "
+            "or is refused read-only, nothing reaches the failed log, and "
+            "a restart recovers the acked prefix"
+          : "ShardedExecutor, 1 shard: a client commits while an operator "
+            "runs Checkpoint(); gap-free acks, monotone publish, and "
+            "Stop() + Start() recovers every ack with one generation per "
+            "log";
+  scenario.run = [fail_rotation](ModelContext& t) {
+    RotationFaultEnv env;
+    ShardedOptions options;
+    options.durable.sync_policy = SyncPolicy::kAlways;
+    options.group_commit.max_latency = std::chrono::microseconds(0);
+    options.group_commit.max_batch = 4;
+    ShardedExecutor exec(&env, "db", options);
+    t.Check(exec.Start().ok(), "Start() succeeds");
+    {
+      auto setup = exec.SubmitAsync({Command{DefineRelationCmd{
+          "acct", RelationType::kRollback, TinySchema()}}});
+      Result<TransactionNumber> defined = t.Await(setup);
+      t.Check(defined.ok() && *defined == 1, "define commits at txn 1");
+    }
+    if (fail_rotation) env.Arm();
+
+    TransactionNumber acked = 0;
+    TransactionNumber watermark = 1;
+    ttra::Thread client([&t, &exec, &acked, &watermark, fail_rotation] {
+      auto future =
+          exec.SubmitAsync({Command{ModifySnapshotCmd{"acct", RowState(7)}}});
+      while (future.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+        const TransactionNumber now = exec.transaction_number();
+        t.Check(now >= watermark, "published epoch never regresses");
+        watermark = std::max(watermark, now);
+        ModelContext::Yield();
+      }
+      Result<TransactionNumber> r = future.get();
+      if (fail_rotation) {
+        t.Check(r.ok() || r.status().code() == ErrorCode::kReadOnly,
+                "a sentence racing a failed checkpoint commits or is "
+                "refused read-only");
+      } else {
+        t.Check(r.ok(), "client commit acknowledged ok");
+      }
+      if (r.ok()) acked = *r;
+    });
+    ttra::Thread operator_task([&t, &exec, fail_rotation] {
+      const Status status = exec.Checkpoint();
+      t.Check(status.ok() != fail_rotation,
+              fail_rotation ? "Checkpoint() reports the failed rotation"
+                            : "Checkpoint() succeeds beside a commit");
+    });
+    client.join();
+    operator_task.join();
+    t.Check(exec.Drain().ok(), "Drain() succeeds");
+    if (!fail_rotation) t.Check(acked == 2, "the ack is gap-free: txn 2");
+    const TransactionNumber epoch = acked != 0 ? acked : 1;
+    t.Check(exec.transaction_number() == epoch, "published epoch is the ack");
+    exec.Stop();
+    if (fail_rotation) {
+      t.Check(env.appends_to_failed_log() == 0,
+              "no append reaches the log whose creation failed");
+    } else {
+      Result<std::vector<ShardedLogName>> logs = ListShardedLogs(env, "db", 1);
+      t.Check(logs.ok() && logs->size() == 2 &&
+                  logs->front().generation == 1 &&
+                  logs->back().generation == 1,
+              "after Stop(): one generation per log, the checkpoint's");
+    }
+
+    // A new process on the same storage.
+    ShardedExecutor again(&env, "db", options);
+    t.Check(again.Start().ok(), "restart recovers");
+    t.Check(again.transaction_number() == epoch,
+            "restart recovers every acked sentence, nothing more");
+    if (acked != 0) {
+      auto state = again.OpenSession().Rollback("acct", acked);
+      t.Check(state.ok() && *state == RowState(7),
+              "rho(acct, acked) survives the restart");
+    }
+    Result<std::vector<ShardedLogName>> logs = ListShardedLogs(env, "db", 1);
+    t.Check(logs.ok() && logs->size() == 2 &&
+                logs->front().generation == 0 &&
+                logs->back().generation == 0,
+            "after Start(): one generation per log");
+    again.Stop();
+  };
+  return scenario;
+}
+
 std::vector<Scenario> AllScenarios() {
-  return {ConcurrentCommitScenario(), ShardedCrossShardScenario(false)};
+  return {ConcurrentCommitScenario(), ShardedCrossShardScenario(false),
+          ShardedCheckpointScenario(false), ShardedCheckpointScenario(true)};
 }
 
 Scenario FindScenario(const std::string& name, bool seeded_bug) {
   if (name == "concurrent") return ConcurrentCommitScenario();
   if (name == "sharded-cross") return ShardedCrossShardScenario(seeded_bug);
+  if (name == "sharded-checkpoint") return ShardedCheckpointScenario(false);
+  if (name == "sharded-checkpoint-fault") return ShardedCheckpointScenario(true);
   return Scenario{};
 }
 

@@ -32,11 +32,23 @@ Scenario ConcurrentCommitScenario();
 /// the explorer must catch on some schedule.
 Scenario ShardedCrossShardScenario(bool seeded_bug = false);
 
+/// `ShardedExecutor`, 1 shard: a client commits while an operator task
+/// runs Checkpoint() — the generation switch under the exclusive gate and
+/// the image write beside live commits. Acks gap-free, published epoch
+/// monotone, and after Stop() + Start() on the same storage every acked
+/// sentence is recovered with one generation per log. With
+/// `fail_rotation` the creation of the next shard-log generation fails:
+/// the checkpoint reports it, the racing sentence commits or is refused
+/// read-only (never a write error), no append reaches the failed file,
+/// and a restart still recovers the acked prefix.
+Scenario ShardedCheckpointScenario(bool fail_rotation = false);
+
 /// The scenarios `ttra modelcheck` / check.sh --model iterate (bug-free
 /// configurations only).
 std::vector<Scenario> AllScenarios();
 
-/// Lookup by name ("concurrent", "sharded-cross"); null run on miss.
+/// Lookup by name ("concurrent", "sharded-cross", "sharded-checkpoint",
+/// "sharded-checkpoint-fault"); null run on miss.
 Scenario FindScenario(const std::string& name, bool seeded_bug = false);
 
 }  // namespace modelcheck

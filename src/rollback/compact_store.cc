@@ -336,6 +336,7 @@ Status CompactStore::WriteCheckpoint(const Database& db) {
   }
 
   uint64_t appended_total = 0;
+  bool created_files = !armed;  // the manifest itself, below
   for (const std::string& name : names) {
     const Relation* rel = db.Find(name);
     auto it = next.find(name);
@@ -375,6 +376,7 @@ Status CompactStore::WriteCheckpoint(const Database& db) {
     uint64_t appended = 0;
     TTRA_RETURN_IF_ERROR(
         PersistRelation(name, *rel, entry, rewrite, &appended));
+    created_files = created_files || rewrite;
     appended_total += appended;
     const bool dirty = rewrite || appended > 0 ||
                        entry.meta.schema_history.size() != covered_schemas ||
@@ -389,9 +391,12 @@ Status CompactStore::WriteCheckpoint(const Database& db) {
 
   // The manifest record is the commit point: segments are already synced
   // (PersistStates), so once this record is durable the checkpoint is.
+  // The new files' directory entries are durable before it, or a crash
+  // could keep a record naming a segment that is gone.
   if (!armed) {
     TTRA_RETURN_IF_ERROR(manifest_.Create());
   }
+  if (created_files) TTRA_RETURN_IF_ERROR(env_->SyncDir(dir_));
   Status append = manifest_.AddRecord(EncodeManifestRecord(record));
   if (!append.ok()) {
     // A failed append may have left a torn frame; cut back to the good

@@ -173,6 +173,8 @@ Status DurableExecutor::Open() {
     TTRA_RETURN_IF_ERROR(wal_.OpenForAppend());
   } else {
     TTRA_RETURN_IF_ERROR(wal_.Create());
+    // Its directory entry is durable before a commit is acknowledged in it.
+    TTRA_RETURN_IF_ERROR(env_->SyncDir(dir_));
   }
 
   exec_.Reset(std::move(db));

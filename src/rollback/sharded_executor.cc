@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -311,14 +312,16 @@ Status ShardedExecutor::Start() {
     shards_.push_back(std::move(shard));
   }
 
-  // Merged recovery: checkpoint, then every shard WAL + the coordinator
-  // log re-establish one total order.
+  // Merged recovery: checkpoint, then every generation of every shard WAL
+  // + the coordinator log re-establish one total order.
   Database db(options_.durable.db);
   if (compact_->Exists()) {
     TTRA_ASSIGN_OR_RETURN(db, compact_->Load(options_.durable.db));
   }
   const TransactionNumber checkpoint_txn = db.transaction_number();
-  TTRA_RETURN_IF_ERROR(Recover(db));
+  TTRA_ASSIGN_OR_RETURN(std::vector<ShardedLogName> logs,
+                        ListShardedLogs(*env_, dir_, shard_count_));
+  TTRA_RETURN_IF_ERROR(Recover(logs, db));
   {
     MutexLock lock(commit_mutex_);
     last_recovery_.checkpoint_txn = checkpoint_txn;
@@ -326,18 +329,32 @@ Status ShardedExecutor::Start() {
   }
 
   // Re-establish the on-disk invariant: one checkpoint covering the
-  // merged replay, fresh logs, sequence spaces reset.
+  // merged replay and one generation per log, restarted empty. The later
+  // generations are durably gone before generation 0 restarts, so a crash
+  // in between leaves nothing but records the checkpoint covers. The
+  // sequence spaces carry on (Recover), so no (shard, seq) can repeat even
+  // then; the next Start() restarts them, which is safe only because no
+  // removed generation can come back.
   TTRA_RETURN_IF_ERROR(compact_->WriteCheckpoint(db));
+  for (const ShardedLogName& log : logs) {
+    if (log.generation != 0) {
+      TTRA_RETURN_IF_ERROR(env_->Remove(dir_ + "/" + log.file));
+    }
+  }
+  TTRA_RETURN_IF_ERROR(env_->SyncDir(dir_));
   for (size_t k = 0; k < shard_count_; ++k) {
     MutexLock lock(shards_[k]->wal_mutex);
     TTRA_RETURN_IF_ERROR(shards_[k]->wal->Create());
-    shards_[k]->next_seq = 1;
     shards_[k]->commits_since_sync = 0;
   }
   {
+    MutexLock image(image_mutex_);
+    generation_ = 0;
+  }
+  {
     MutexLock lock(commit_mutex_);
-    coordinator_ = std::make_unique<WalWriter>(
-        env_, dir_ + "/" + kCoordinatorLogFile);
+    coordinator_ =
+        std::make_unique<WalWriter>(env_, dir_ + "/" + CoordinatorLogFile());
     TTRA_RETURN_IF_ERROR(coordinator_->Create());
     coordinator_unsynced_ = 0;
     coordinator_good_ = true;
@@ -354,49 +371,38 @@ Status ShardedExecutor::Start() {
     MutexLock publish(publish_mutex_);
     published_ = tip_;
   }
+  // The entries of the logs just created (and of a new MANIFEST) are
+  // durable before any commit can be acknowledged in them.
+  TTRA_RETURN_IF_ERROR(env_->SyncDir(dir_));
 
   for (size_t k = 0; k < shard_count_; ++k) {
     shards_[k]->queue = std::make_unique<BoundedQueue<Pending>>(
         options_.group_commit.queue_capacity);
   }
+  // Set before the writers exist: their auto-checkpoints read it.
+  started_ = true;
   for (size_t k = 0; k < shard_count_; ++k) {
     shards_[k]->writer = ttra::Thread(&ShardedExecutor::WriterLoop, this, k);
   }
-  started_ = true;
   return Status::Ok();
 }
 
-Status ShardedExecutor::Recover(Database& db) {
+Status ShardedExecutor::Recover(const std::vector<ShardedLogName>& logs,
+                                 Database& db) {
   // Single-threaded (Start(), before any writer exists), so the lock here
   // is only for the annotations' benefit.
   MutexLock lock(commit_mutex_);
   last_recovery_ = RecoveryInfo{};
 
-  // Coordinator log first: advisory cross-check material. A torn tail is
-  // the expected crash shape (it is synced lazily); mid-log corruption is
-  // real damage and recovery refuses, like any other log here.
+  // Every generation of every log, each log's in the order written. The
+  // coordinator log is advisory cross-check material; shard WALs hold
+  // prepares (the payloads) and commits (the positions). A torn tail is
+  // the expected crash shape; mid-log corruption is real damage and
+  // recovery refuses. Sequence numbers carry on across generations, so
+  // (shard, seq) names one batch in every file.
   std::map<std::pair<uint64_t, uint64_t>, ShardRecord> coord;
-  const std::string coord_path = dir_ + "/" + kCoordinatorLogFile;
-  if (env_->Exists(coord_path)) {
-    TTRA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(*env_, coord_path));
-    if (wal.records_after_hole > 0) return MidLogCorruption(coord_path, wal);
-    if (wal.torn_tail) ++last_recovery_.torn_tails;
-    for (const std::string& payload : wal.records) {
-      TTRA_ASSIGN_OR_RETURN(ShardRecord record, DecodeShardRecord(payload));
-      if (record.kind != ShardRecordKind::kCoordCommit) {
-        return CorruptionError("non-coordinator record in " + coord_path);
-      }
-      if (!coord.emplace(std::make_pair(record.shard, record.seq), record)
-               .second) {
-        return CorruptionError("duplicate coordinator record for shard " +
-                               std::to_string(record.shard) + " seq " +
-                               std::to_string(record.seq));
-      }
-    }
-  }
-
-  // Shard WALs: prepares carry the payloads, commits carry the positions.
   std::map<std::pair<uint64_t, uint64_t>, ShardRecord> prepares;
+  std::set<std::pair<uint64_t, uint64_t>> committed_keys;
   struct Commit {
     uint64_t shard;
     uint64_t seq;
@@ -404,16 +410,30 @@ Status ShardedExecutor::Recover(Database& db) {
     TransactionNumber post;
   };
   std::vector<Commit> commits;
-  for (size_t k = 0; k < shard_count_; ++k) {
-    const std::string path = dir_ + "/" + ShardWalFile(k);
-    if (!env_->Exists(path)) continue;
+  std::vector<uint64_t> next_seq(shard_count_, 1);
+  for (const ShardedLogName& log : logs) {
+    const std::string path = dir_ + "/" + log.file;
     TTRA_ASSIGN_OR_RETURN(WalReadResult wal, ReadWal(*env_, path));
     if (wal.records_after_hole > 0) return MidLogCorruption(path, wal);
     if (wal.torn_tail) ++last_recovery_.torn_tails;
+    const size_t k = log.shard;
     for (const std::string& payload : wal.records) {
       TTRA_ASSIGN_OR_RETURN(ShardRecord record, DecodeShardRecord(payload));
+      if (log.coordinator) {
+        if (record.kind != ShardRecordKind::kCoordCommit) {
+          return CorruptionError("non-coordinator record in " + path);
+        }
+        if (!coord.emplace(std::make_pair(record.shard, record.seq), record)
+                 .second) {
+          return CorruptionError("duplicate coordinator record for shard " +
+                                 std::to_string(record.shard) + " seq " +
+                                 std::to_string(record.seq));
+        }
+        continue;
+      }
       switch (record.kind) {
         case ShardRecordKind::kPrepare: {
+          next_seq[k] = std::max(next_seq[k], record.seq + 1);
           if (!prepares
                    .emplace(std::pair<uint64_t, uint64_t>(k, record.seq),
                             std::move(record))
@@ -423,13 +443,15 @@ Status ShardedExecutor::Recover(Database& db) {
           break;
         }
         case ShardRecordKind::kCommit: {
-          // Prepare precedes commit in the same file, so a durable commit
-          // record implies a durable prepare record.
+          // Prepare precedes commit in the same file (no batch spans a
+          // generation switch), so a durable commit record implies a
+          // durable prepare record.
           if (prepares.find({k, record.seq}) == prepares.end()) {
             return CorruptionError("commit without prepare in " + path +
                                    " (seq " + std::to_string(record.seq) +
                                    ")");
           }
+          committed_keys.emplace(k, record.seq);
           commits.push_back(
               Commit{k, record.seq, record.base_txn, record.post_txn});
           break;
@@ -441,6 +463,10 @@ Status ShardedExecutor::Recover(Database& db) {
           return CorruptionError("coordinator record in shard wal " + path);
       }
     }
+  }
+  for (size_t k = 0; k < shard_count_; ++k) {
+    MutexLock wal_lock(shards_[k]->wal_mutex);
+    shards_[k]->next_seq = next_seq[k];
   }
 
   // One total order: committed batches sorted by base transaction number.
@@ -480,8 +506,9 @@ Status ShardedExecutor::Recover(Database& db) {
     }
     const TransactionNumber current = db.transaction_number();
     if (commit.post <= current) {
-      // Covered by the checkpoint (crash between checkpoint publication
-      // and WAL truncation); the batch boundary must still line up.
+      // Covered by the checkpoint: a generation a checkpoint made durable
+      // before a crash could delete it, or generation 0 before Start()
+      // restarted it. The batch boundary must still line up.
       if (commit.base > current) {
         return CorruptionError("committed batch overlaps the checkpoint");
       }
@@ -513,13 +540,8 @@ Status ShardedExecutor::Recover(Database& db) {
 
   // Prepares that never committed are the in-doubt crash window between
   // shard prepare and commit: never acknowledged, atomically dropped.
-  for (const auto& [key, record] : prepares) {
-    const bool has_commit =
-        std::any_of(commits.begin(), commits.end(), [&](const Commit& c) {
-          return c.shard == key.first && c.seq == key.second;
-        });
-    if (!has_commit) ++last_recovery_.dropped_in_doubt;
-  }
+  // Every committed key names a prepare (checked above).
+  last_recovery_.dropped_in_doubt += prepares.size() - committed_keys.size();
   return Status::Ok();
 }
 
@@ -531,19 +553,22 @@ void ShardedExecutor::Stop() {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     if (shard->writer.joinable()) shard->writer.join();
   }
+  // An operator's checkpoint may still be writing its image; the logs it
+  // is about to delete are only covered once it finishes.
+  MutexLock image(image_mutex_);
   // Final opportunistic coordinator sync: the log is advisory, but a
   // clean shutdown should leave it complete. The fsync itself runs with
-  // no executor mutex held (the writers are already joined).
-  bool sync_coordinator = false;
+  // no executor mutex held but the image lock (the writers are joined).
+  std::string coordinator_path;
   {
     MutexLock lock(commit_mutex_);
     if (coordinator_ != nullptr && coordinator_good_ &&
         coordinator_unsynced_ > 0) {
       coordinator_unsynced_ = 0;
-      sync_coordinator = true;
+      coordinator_path = coordinator_->path();
     }
   }
-  if (sync_coordinator) SyncCoordinatorUnlocked();
+  if (!coordinator_path.empty()) SyncCoordinatorUnlocked(coordinator_path);
   started_ = false;
 }
 
@@ -554,9 +579,7 @@ std::future<Result<TransactionNumber>> ShardedExecutor::SubmitAsync(
     if (degraded_) {
       ++stat_rejected_;
       std::promise<Result<TransactionNumber>> refused;
-      refused.set_value(ReadOnlyError(
-          "executor is in read-only degraded mode (" +
-          degraded_reason_.ToString() + "); repair storage and reopen"));
+      refused.set_value(DegradedRefusalLocked());
       return refused.get_future();
     }
   }
@@ -627,67 +650,106 @@ Database ShardedExecutor::Snapshot() const {
 }
 
 Status ShardedExecutor::Checkpoint() {
-  return QuiesceAndCheckpoint(/*full_rewrite=*/false);
+  return RotateAndCheckpoint(/*full_rewrite=*/false);
 }
 
 Status ShardedExecutor::CompactStorage() {
-  return QuiesceAndCheckpoint(/*full_rewrite=*/true);
+  return RotateAndCheckpoint(/*full_rewrite=*/true);
 }
 
-Status ShardedExecutor::QuiesceAndCheckpoint(bool full_rewrite) {
-  // Exclusive gate: every writer holds the gate shared from prepare to
-  // durability marking, so owning it exclusively proves no batch is in
-  // flight anywhere — the watermark equals the chain tip and all sequence
-  // spaces may be reset together with the logs.
-  WriterMutexLock gate(checkpoint_gate_);
-  std::shared_ptr<const Database> tip;
+Status ShardedExecutor::RotateAndCheckpoint(bool full_rewrite) {
+  MutexLock image(image_mutex_);
   {
     MutexLock lock(commit_mutex_);
     if (!started_ || tip_ == nullptr) {
       return UnavailableError("sharded executor is not running");
     }
-    if (degraded_) {
-      return UnavailableError("sharded executor is degraded (" +
-                              degraded_reason_.ToString() +
-                              "); repair storage and reopen");
-    }
-    tip = tip_;
+    if (degraded_) return DegradedCheckpointErrorLocked();
   }
-  // Write the checkpoint image with no executor mutex held: the exclusive
-  // gate already quiesces every writer (nothing can move the tip), the
-  // copy-on-write snapshot is immutable, and this is by far the longest
-  // I/O in the system — stats()/healthy() probes must not stall behind it.
-  Status image = full_rewrite ? compact_->Compact(*tip)
-                              : compact_->WriteCheckpoint(*tip);
-  if (!image.ok()) {
-    // The manifest writer may hold a torn tail; only a re-Start() re-arms
-    // it from the validated prefix.
-    MutexLock lock(commit_mutex_);
-    EnterDegradedLocked(image);
-    return image;
-  }
-  MutexLock lock(commit_mutex_);
-  // The checkpoint is durable and covers every commit: the logs may
-  // restart (a crash in between replays records the manifest skips).
-  for (size_t k = 0; k < shard_count_; ++k) {
-    MutexLock wal_lock(shards_[k]->wal_mutex);
-    Status status = shards_[k]->wal->Create();
+
+  // 1. The next generation of every log, its header durable, under no
+  //    lock a committer takes: writers keep appending to the current one.
+  //    A failure here has switched nothing, but the disk is failing, so
+  //    the executor degrades as it would on the image write.
+  const uint64_t next = generation_ + 1;
+  std::vector<std::unique_ptr<WalWriter>> fresh;
+  fresh.reserve(shard_count_ + 1);
+  for (size_t k = 0; k <= shard_count_; ++k) {
+    const std::string name =
+        k < shard_count_ ? ShardWalFile(k, next) : CoordinatorLogFile(next);
+    fresh.push_back(std::make_unique<WalWriter>(env_, dir_ + "/" + name));
+    const Status status = fresh.back()->Create();
     if (!status.ok()) {
-      EnterDegradedLocked(status);
+      EnterDegraded(status);
       return status;
     }
-    shards_[k]->next_seq = 1;
-    shards_[k]->commits_since_sync = 0;
   }
-  Status status = coordinator_->Create();
-  if (!status.ok()) {
-    EnterDegradedLocked(status);
+  // Their directory entries too: a commit acknowledged in the next
+  // generation must not vanish with the file's name at a crash.
+  if (const Status status = env_->SyncDir(dir_); !status.ok()) {
+    EnterDegraded(status);
     return status;
   }
-  coordinator_unsynced_ = 0;
-  coordinator_good_ = true;
-  commits_since_checkpoint_ = 0;
-  return Status::Ok();
+
+  // 2. The switch. Every writer holds the gate shared from prepare to
+  //    durability marking, so owning it exclusively proves no batch is in
+  //    flight: the tip is the durability watermark, and every batch lies
+  //    wholly in one generation. Pointer swaps only — no I/O in here.
+  std::shared_ptr<const Database> tip;
+  {
+    WriterMutexLock gate(checkpoint_gate_);
+    MutexLock lock(commit_mutex_);
+    if (degraded_) return DegradedCheckpointErrorLocked();
+    tip = tip_;
+    for (size_t k = 0; k < shard_count_; ++k) {
+      MutexLock wal_lock(shards_[k]->wal_mutex);
+      shards_[k]->wal->SwitchTo(*fresh[k]);
+    }
+    coordinator_->SwitchTo(*fresh.back());
+    coordinator_unsynced_ = 0;
+    coordinator_good_ = true;
+    commits_since_checkpoint_ = 0;
+  }
+  generation_ = next;
+
+  // Under kBatch the retired generation may end in unsynced commits, and
+  // the new generation's syncs do not cover that file: a crash would lose
+  // them and, behind that gap, every later commit, beyond the policy's
+  // bounded loss window. (kAlways synced every batch; kNever promises
+  // only the checkpoint.)
+  if (options_.durable.sync_policy == SyncPolicy::kBatch) {
+    for (size_t k = 0; k < shard_count_; ++k) {
+      const Status status = env_->Sync(dir_ + "/" + ShardWalFile(k, next - 1));
+      if (!status.ok()) {
+        EnterDegraded(status);
+        return status;
+      }
+    }
+  }
+
+  // 3. The image of the pinned copy-on-write tip, while writers commit
+  //    into the new generation. On failure the older generations stay:
+  //    they hold what the image was to cover. The manifest writer may hold
+  //    a torn tail; only a re-Start() re-arms it from the validated prefix.
+  const Status status = full_rewrite ? compact_->Compact(*tip)
+                                     : compact_->WriteCheckpoint(*tip);
+  if (!status.ok()) {
+    EnterDegraded(status);
+    return status;
+  }
+
+  // 4. The image is durable and covers every older generation. A delete
+  //    that fails, or is undone by a crash before the directory sync,
+  //    leaves covered records, which recovery skips; the next checkpoint
+  //    or Start() deletes them.
+  TTRA_ASSIGN_OR_RETURN(std::vector<ShardedLogName> logs,
+                        ListShardedLogs(*env_, dir_, shard_count_));
+  for (const ShardedLogName& log : logs) {
+    if (log.generation < next) {
+      TTRA_RETURN_IF_ERROR(env_->Remove(dir_ + "/" + log.file));
+    }
+  }
+  return env_->SyncDir(dir_);
 }
 
 bool ShardedExecutor::healthy() const {
@@ -717,13 +779,25 @@ void ShardedExecutor::EnterDegradedLocked(const Status& reason) {
   last_write_error_ = reason;
 }
 
-void ShardedExecutor::SyncCoordinatorUnlocked() {
+Status ShardedExecutor::DegradedCheckpointErrorLocked() const {
+  return UnavailableError("sharded executor is degraded (" +
+                          degraded_reason_.ToString() +
+                          "); repair storage and reopen");
+}
+
+Status ShardedExecutor::DegradedRefusalLocked() const {
+  return ReadOnlyError("executor is in read-only degraded mode (" +
+                       degraded_reason_.ToString() +
+                       "); repair storage and reopen");
+}
+
+void ShardedExecutor::SyncCoordinatorUnlocked(const std::string& path) {
   // Env is internally synchronized, so the fsync runs lock-free here and
   // committers on other shards keep appending meanwhile. WalWriter::Sync
   // is NOT used: it mutates its stats under no lock of its own, and the
   // appender owns it under commit_mutex_ — the executor books syncs in
   // coordinator_syncs_ instead.
-  const Status status = env_->Sync(dir_ + "/" + kCoordinatorLogFile);
+  const Status status = env_->Sync(path);
   MutexLock lock(commit_mutex_);
   if (status.ok()) {
     ++coordinator_syncs_;
@@ -917,6 +991,18 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
                                    std::vector<Pending>& batch) {
   Shard& shard = *shards_[shard_index];
 
+  // Degraded mode may have begun while this writer waited for the gate
+  // (a failed checkpoint): nothing may reach a log after that.
+  Status refusal;
+  {
+    MutexLock lock(commit_mutex_);
+    if (degraded_) refusal = DegradedRefusalLocked();
+  }
+  if (!refusal.ok()) {
+    RefuseBatch(batch, refusal);
+    return;
+  }
+
   // Entries + the set of shards any sentence touches. The whole batch is
   // the commit unit, so the touched set is computed across all of it.
   std::vector<GroupEntry> entries;
@@ -975,13 +1061,11 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   uint64_t commit_index = 0;
   TransactionNumber base = 0;
   TransactionNumber post = 0;
-  bool sync_coordinator = false;
+  std::string coordinator_path;  // set when the lazy sync is due
   {
     MutexLock lock(commit_mutex_);
     if (degraded_) {
-      const Status refusal = ReadOnlyError(
-          "executor is in read-only degraded mode (" +
-          degraded_reason_.ToString() + "); repair storage and reopen");
+      refusal = DegradedRefusalLocked();
       stat_rejected_ += batch.size();
       completed_ += batch.size();
       for (Pending& pending : batch) {
@@ -1019,7 +1103,7 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
         // function, still under the shared checkpoint gate): a disk flush
         // of the advisory log must not sit inside the global order lock.
         coordinator_unsynced_ = 0;
-        sync_coordinator = true;
+        coordinator_path = coordinator_->path();
       }
     }
 
@@ -1080,9 +1164,9 @@ void ShardedExecutor::ProcessBatch(size_t shard_index,
   MarkBatch(commit_index, io);
 
   // Lazy coordinator flush, after the ack so it adds no commit latency.
-  // Still under the caller's shared checkpoint gate, so Checkpoint()
-  // cannot rotate the log out from under the fsync.
-  if (sync_coordinator) SyncCoordinatorUnlocked();
+  // Still under the caller's shared checkpoint gate, so a checkpoint
+  // cannot switch (let alone delete) the generation being synced.
+  if (!coordinator_path.empty()) SyncCoordinatorUnlocked(coordinator_path);
 }
 
 void ShardedExecutor::WriterLoop(size_t shard_index) {
@@ -1092,16 +1176,10 @@ void ShardedExecutor::WriterLoop(size_t shard_index) {
         options_.group_commit.max_batch, options_.group_commit.max_latency);
     if (batch.empty()) return;  // closed and fully drained
 
-    if (degraded()) {
-      RefuseBatch(batch, ReadOnlyError(
-          "executor is in read-only degraded mode (" +
-          degraded_reason().ToString() + "); repair storage and reopen"));
-      continue;
-    }
-
     {
       // Writers ride the gate shared for the whole prepare → commit →
-      // mark protocol; Checkpoint() takes it exclusively to quiesce.
+      // mark protocol; a checkpoint takes it exclusively to switch the
+      // log generations. ProcessBatch checks degraded mode inside it.
       ReaderMutexLock gate(checkpoint_gate_);
       ProcessBatch(shard_index, batch);
     }
@@ -1113,8 +1191,10 @@ void ShardedExecutor::WriterLoop(size_t shard_index) {
         checkpoint_now = !degraded_ && commits_since_checkpoint_ >=
                                            options_.durable.checkpoint_every;
       }
-      // Outside the gate (Checkpoint takes it exclusively). Best effort:
-      // failures flip degraded mode inside.
+      // Outside the gate (Checkpoint takes it exclusively). The image is
+      // written on this writer thread, so this shard's queue waits for it;
+      // the other shards keep committing. Best effort: failures flip
+      // degraded mode inside.
       if (checkpoint_now) Checkpoint().IgnoreError();
     }
   }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "rollback/durable_executor.h"
+#include "storage/layout.h"
 #include "storage/salvage.h"
 #include "util/bounded_queue.h"
 #include "util/mutex.h"
@@ -28,6 +29,12 @@ namespace ttra {
 //   dir/seg-*.seg            with one segment file per relation
 //   dir/shard-<k>.wal      per-shard write-ahead log, k in [0, shards)
 //   dir/coordinator.log    advisory cross-shard commit order (WAL format)
+//
+// Each log comes in generations: generation 0 has the names above, and
+// generation g > 0 is shard-<k>.<g>.wal / coordinator.<g>.log. A
+// checkpoint switches every log to the next generation, writes its image,
+// then deletes the older generations; recovery reads whatever generations
+// a crash left, in order. Start() ends with one generation per log.
 //
 // The file names, kMaxShards and the MANIFEST parser live in
 // storage/layout.h, shared with the salvage scan. Every log file uses the
@@ -167,8 +174,8 @@ struct ShardedOptions {
   /// (MANIFEST) and Start() adopts it; this value seeds a fresh directory.
   size_t shards = 1;
   /// Coordinator records between opportunistic coordinator syncs (the log
-  /// is advisory, so it is never synced on the ack path). Stop() and
-  /// Checkpoint() always sync it.
+  /// is advisory, so it is never synced on the ack path). Stop() always
+  /// syncs it.
   size_t coordinator_sync_every = 256;
   ProtocolFaultsForTests test_faults;
 };
@@ -277,16 +284,19 @@ class ShardedExecutor {
   /// every relation until one side changes it).
   Database Snapshot() const;
 
-  /// Quiesces in-flight batches (checkpoint gate), appends one global
-  /// incremental manifest record covering every shard, then truncates all
-  /// shard WALs and the coordinator log and resets the sequence spaces.
-  /// The manifest sync is the commit point, so truncation strictly
-  /// follows a durable covering checkpoint.
+  /// Switches every shard log and the coordinator log to a new generation
+  /// (writers wait only for that pointer switch), then, while commits
+  /// continue into the new generation, appends one global incremental
+  /// manifest record covering everything before the switch, and deletes
+  /// the older generations. The manifest sync is the commit point, so a
+  /// generation is deleted only once a durable checkpoint covers it.
+  /// Image writers (this, CompactStorage, the auto-checkpoint) run one at
+  /// a time; Stop() waits for one still running.
   Status Checkpoint();
 
   /// Online segment vacuum: like Checkpoint, but rewrites every segment at
   /// a fresh generation and swaps a one-record full manifest over the
-  /// chain. Reader sessions are untouched.
+  /// chain. Reader sessions and writers are untouched.
   Status CompactStorage();
 
   /// The compact store backing the layout; never null.
@@ -384,24 +394,36 @@ class ShardedExecutor {
       TTRA_EXCLUDES(commit_mutex_);
   void EnterDegraded(const Status& reason) TTRA_EXCLUDES(commit_mutex_);
   void EnterDegradedLocked(const Status& reason) TTRA_REQUIRES(commit_mutex_);
-  /// Fsyncs the advisory coordinator log with no executor mutex held and
-  /// books the outcome under commit_mutex_. Callers must either hold the
-  /// checkpoint gate (shared) or have quiesced the writers, so the log
-  /// cannot be rotated underneath; concurrent appends are fine — fsync
-  /// then covers a prefix, which is all lazy sync ever promised.
-  void SyncCoordinatorUnlocked() TTRA_EXCLUDES(commit_mutex_);
+  /// The kReadOnly refusal of degraded mode, for a sentence.
+  Status DegradedRefusalLocked() const TTRA_REQUIRES(commit_mutex_);
+  /// The kUnavailable refusal of degraded mode, for a checkpoint.
+  Status DegradedCheckpointErrorLocked() const TTRA_REQUIRES(commit_mutex_);
+  /// Fsyncs the advisory coordinator log at `path` (read under
+  /// commit_mutex_ by the caller) with no executor mutex held and books
+  /// the outcome under commit_mutex_. Callers must either hold the
+  /// checkpoint gate (shared) since reading the path or have joined the
+  /// writers: a checkpoint switches generations only under the exclusive
+  /// gate, and deletes a retired one only after that switch. Concurrent
+  /// appends are fine — fsync then covers a prefix, which is all lazy sync
+  /// ever promised.
+  void SyncCoordinatorUnlocked(const std::string& path)
+      TTRA_EXCLUDES(commit_mutex_);
   Status RetryShardWalOp(Shard& shard, const std::function<Status()>& op,
                          bool reset_tail) TTRA_REQUIRES(shard.wal_mutex);
 
-  /// Recovery: merge shard WALs + coordinator into one database.
-  Status Recover(Database& db) TTRA_EXCLUDES(commit_mutex_);
-
-  /// The one body of Checkpoint() and CompactStorage(): quiesce the
-  /// writers behind the exclusive gate, write the checkpoint image (an
-  /// incremental record, or with `full_rewrite` a segment rewrite plus
-  /// manifest swap) with no executor mutex held, then rotate every log.
-  Status QuiesceAndCheckpoint(bool full_rewrite)
+  /// Recovery: merge every generation of the shard WALs + coordinator
+  /// (`logs`, as ListShardedLogs returns them) into one database, and
+  /// continue each shard's sequence space above what the logs hold.
+  Status Recover(const std::vector<ShardedLogName>& logs, Database& db)
       TTRA_EXCLUDES(commit_mutex_);
+
+  /// The one body of Checkpoint() and CompactStorage(): create the next
+  /// generation of every log, switch the writers to it under the
+  /// exclusive gate (no I/O there), then write the checkpoint image (an
+  /// incremental record, or with `full_rewrite` a segment rewrite plus
+  /// manifest swap) of the tip pinned at the switch while writers commit,
+  /// and delete the generations it covers.
+  Status RotateAndCheckpoint(bool full_rewrite) TTRA_EXCLUDES(image_mutex_);
 
   Env* env_;
   std::string dir_;
@@ -413,9 +435,18 @@ class ShardedExecutor {
   std::vector<std::unique_ptr<Shard>> shards_;
   bool started_ = false;
 
+  /// One image writer at a time: Checkpoint(), CompactStorage() and the
+  /// auto-checkpoint hold this across the whole rotate → image → delete
+  /// protocol, and Stop() takes it to wait for one still running. Taken
+  /// before checkpoint_gate_; no committer ever takes it.
+  Mutex image_mutex_;
+  /// The generation every log is writing (0 after Start()).
+  uint64_t generation_ TTRA_GUARDED_BY(image_mutex_) = 0;
+
   /// Writers hold this shared across prepare → commit → mark, so holding
-  /// it exclusively (Checkpoint) means no batch is in flight anywhere and
-  /// the watermark equals the chain tip.
+  /// it exclusively means no batch is in flight anywhere and the watermark
+  /// equals the chain tip. A checkpoint holds it exclusively only to pin
+  /// the tip and switch the log generations — pointer swaps, no I/O.
   SharedMutex checkpoint_gate_;
 
   /// The global order lock: transaction-number assignment, the chain tip,

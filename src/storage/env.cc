@@ -150,6 +150,10 @@ Status PosixEnv::Remove(const std::string& path) {
   return Status::Ok();
 }
 
+Status PosixEnv::SyncDir(const std::string& dir) {
+  return FsyncPath(dir, O_RDONLY | O_DIRECTORY);
+}
+
 Result<std::vector<std::string>> PosixEnv::List(const std::string& dir) const {
   DIR* d = ::opendir(dir.c_str());
   if (d == nullptr) return Errno("opendir", dir);
@@ -175,6 +179,8 @@ bool PosixEnv::Exists(const std::string& path) const {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+Status Env::SyncDir(const std::string& /*dir*/) { return Status::Ok(); }
+
 Env* Env::Default() {
   static PosixEnv* env = new PosixEnv();
   return env;
@@ -182,9 +188,25 @@ Env* Env::Default() {
 
 // --- InMemoryEnv -----------------------------------------------------------
 
+InMemoryEnv::FileState& InMemoryEnv::FileLocked(const std::string& path) {
+  auto [it, created] = files_.try_emplace(path);
+  if (created) it->second.entry_durable = !require_dir_sync_;
+  return it->second;
+}
+
+void InMemoryEnv::SyncDirLocked(const std::string& dir) {
+  for (auto& [path, file] : files_) {
+    if (DirName(path) == dir) file.entry_durable = true;
+  }
+  std::erase_if(unsynced_removes_,
+                [&](const auto& entry) { return DirName(entry.first) == dir; });
+}
+
 Status InMemoryEnv::Truncate(const std::string& path) {
   MutexLock lock(mutex_);
-  files_[path] = FileState{};
+  FileState& file = FileLocked(path);
+  file.data.clear();
+  file.synced_size = 0;
   return Status::Ok();
 }
 
@@ -203,13 +225,13 @@ Status InMemoryEnv::TruncateTo(const std::string& path, uint64_t size) {
 
 Status InMemoryEnv::Append(const std::string& path, std::string_view data) {
   MutexLock lock(mutex_);
-  files_[path].data.append(data);
+  FileLocked(path).data.append(data);
   return Status::Ok();
 }
 
 Status InMemoryEnv::Sync(const std::string& path) {
   MutexLock lock(mutex_);
-  FileState& file = files_[path];
+  FileState& file = FileLocked(path);
   file.synced_size = file.data.size();
   return Status::Ok();
 }
@@ -229,14 +251,30 @@ Status InMemoryEnv::Rename(const std::string& from, const std::string& to) {
   // Rename is modeled as durable (the POSIX backend fsyncs the directory),
   // so the moved content survives a crash in full.
   moved.synced_size = moved.data.size();
+  moved.entry_durable = true;
   files_.erase(it);
   files_[to] = std::move(moved);
+  // The fsync of the directory records every other entry in it as well.
+  SyncDirLocked(DirName(to));
   return Status::Ok();
 }
 
 Status InMemoryEnv::Remove(const std::string& path) {
   MutexLock lock(mutex_);
-  if (files_.erase(path) == 0) return IoError("no such file: " + path);
+  auto it = files_.find(path);
+  if (it == files_.end()) return IoError("no such file: " + path);
+  if (require_dir_sync_ && it->second.entry_durable) {
+    FileState survivor = std::move(it->second);
+    survivor.data.resize(survivor.synced_size);
+    unsynced_removes_.try_emplace(path, std::move(survivor));
+  }
+  files_.erase(it);
+  return Status::Ok();
+}
+
+Status InMemoryEnv::SyncDir(const std::string& dir) {
+  MutexLock lock(mutex_);
+  SyncDirLocked(dir);
   return Status::Ok();
 }
 
@@ -270,6 +308,12 @@ bool InMemoryEnv::Exists(const std::string& path) const {
 
 void InMemoryEnv::DropUnsynced() {
   MutexLock lock(mutex_);
+  std::erase_if(files_,
+                [](const auto& entry) { return !entry.second.entry_durable; });
+  for (auto& [path, file] : unsynced_removes_) {
+    files_.insert_or_assign(path, std::move(file));
+  }
+  unsynced_removes_.clear();
   for (auto& [path, file] : files_) {
     file.data.resize(file.synced_size);
   }
@@ -382,7 +426,7 @@ Status FaultInjectionEnv::Append(const std::string& path,
         // A strict prefix lands; the op still reports failure. TruncateTo
         // back to the pre-append size makes the retry clean.
         const uint64_t landed = plan_rng_->Uniform(data.size());
-        files_[path].data.append(data.substr(0, landed));
+        FileLocked(path).data.append(data.substr(0, landed));
         ++plan_stats_.torn_appends;
         return IoError("injected torn append: " + path);
       }
@@ -423,6 +467,11 @@ Status FaultInjectionEnv::Rename(const std::string& from,
 Status FaultInjectionEnv::Remove(const std::string& path) {
   if (NextOpFaults()) return IoError("injected fault: remove " + path);
   return InMemoryEnv::Remove(path);
+}
+
+Status FaultInjectionEnv::SyncDir(const std::string& dir) {
+  if (NextOpFaults()) return IoError("injected fault: sync dir " + dir);
+  return InMemoryEnv::SyncDir(dir);
 }
 
 }  // namespace ttra

@@ -25,6 +25,8 @@ namespace ttra {
 ///    is NOT durable until Sync(path) returns OK.
 ///  * Rename(from, to) atomically replaces `to` and durably records the
 ///    rename itself (POSIX: fsync the containing directory).
+///  * Creating a file (Truncate, Append) and Remove change its directory's
+///    entries, which are NOT durable until SyncDir(dir) returns OK.
 ///  * After a crash, a file may hold any prefix of its appended bytes that
 ///    is at least its content as of the last successful Sync.
 class Env {
@@ -55,6 +57,13 @@ class Env {
 
   virtual Status Remove(const std::string& path) = 0;
 
+  /// Durably records every entry created in or removed from `dir` so far
+  /// (POSIX: fsync the directory). The default does nothing, which is
+  /// right only for an Env whose entries are durable at once or that, like
+  /// a benchmark's counting wrapper, makes no durability promise; PosixEnv
+  /// and InMemoryEnv override it.
+  virtual Status SyncDir(const std::string& dir);
+
   /// File names (not paths) in `dir`, sorted; "." and ".." excluded.
   virtual Result<std::vector<std::string>> List(const std::string& dir)
       const = 0;
@@ -82,6 +91,7 @@ class PosixEnv : public Env {
   Result<std::string> Read(const std::string& path) const override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
   Result<std::vector<std::string>> List(const std::string& dir) const override;
   Status CreateDir(const std::string& dir) override;
   bool Exists(const std::string& path) const override;
@@ -109,24 +119,46 @@ class InMemoryEnv : public Env {
   Result<std::string> Read(const std::string& path) const override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
   Result<std::vector<std::string>> List(const std::string& dir) const override;
   Status CreateDir(const std::string& dir) override;
   bool Exists(const std::string& path) const override;
 
   /// Simulates power loss: every file loses all bytes appended after its
-  /// last successful Sync. Renames and removes are considered durable at
-  /// the moment they succeed (the POSIX backend fsyncs the directory).
+  /// last successful Sync. Renames are durable at the moment they succeed
+  /// (the POSIX backend fsyncs the directory). Creates and removes are too,
+  /// unless set_require_dir_sync(true) was called.
   void DropUnsynced();
+
+  /// Models the strict POSIX rule for directory entries: a file created
+  /// since its directory's last SyncDir (or Rename into it) vanishes at a
+  /// crash, and a file removed since then comes back with its synced
+  /// bytes. Off by default: the other oracles model the filesystems that
+  /// commit an entry with the file's own fsync.
+  void set_require_dir_sync(bool on) {
+    MutexLock lock(mutex_);
+    require_dir_sync_ = on;
+  }
 
  protected:
   struct FileState {
     std::string data;
     size_t synced_size = 0;
+    bool entry_durable = true;  ///< the directory entry survives a crash
   };
+
+  /// files_[path], created (with an entry that is durable only once its
+  /// directory is synced, under require_dir_sync_) if absent.
+  FileState& FileLocked(const std::string& path) TTRA_REQUIRES(mutex_);
+  void SyncDirLocked(const std::string& dir) TTRA_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   std::map<std::string, FileState> files_ TTRA_GUARDED_BY(mutex_);
   std::vector<std::string> dirs_ TTRA_GUARDED_BY(mutex_);
+  bool require_dir_sync_ TTRA_GUARDED_BY(mutex_) = false;
+  /// Removed files whose removal no SyncDir has recorded yet, as they
+  /// would come back at a crash (require_dir_sync_ only).
+  std::map<std::string, FileState> unsynced_removes_ TTRA_GUARDED_BY(mutex_);
 };
 
 /// Seeded, probabilistic fault schedule for FaultInjectionEnv. Every rate
@@ -165,7 +197,8 @@ struct FaultPlanOptions {
 /// interesting. Two mechanisms compose:
 ///
 ///  * One-shot faults (InjectFault): fail — or tear — the Nth counted
-///    mutating op (Truncate, TruncateTo, Append, Sync, Rename, Remove),
+///    mutating op (Truncate, TruncateTo, Append, Sync, Rename, Remove,
+///    SyncDir),
 ///    then disarm. The crash-sweep primitive: arm n = 1..op_count().
 ///  * Fault plans (ArmPlan): a seeded probabilistic schedule of transient
 ///    EIO bursts, torn appends, lying fsyncs, read-path media damage and
@@ -254,6 +287,7 @@ class FaultInjectionEnv : public InMemoryEnv {
   Result<std::string> Read(const std::string& path) const override;
   Status Rename(const std::string& from, const std::string& to) override;
   Status Remove(const std::string& path) override;
+  Status SyncDir(const std::string& dir) override;
 
  private:
   /// Advances the op counter; returns true if this op must fail, storing

@@ -145,6 +145,9 @@ Status RepairOneLog(Env* env, SalvageLogReport& log) {
   TTRA_RETURN_IF_ERROR(env->Truncate(quarantine));
   TTRA_RETURN_IF_ERROR(env->Append(quarantine, tail));
   TTRA_RETURN_IF_ERROR(env->Sync(quarantine));
+  const size_t slash = log.file.find_last_of('/');
+  TTRA_RETURN_IF_ERROR(env->SyncDir(
+      slash == std::string::npos ? "." : log.file.substr(0, slash)));
   if (log.valid_size == 0) {
     // The log's own header is damaged: replace the whole file with a
     // fresh, durably-empty log.
@@ -319,29 +322,40 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
       return report;
     }
     report.shards = *shards;
-    for (uint32_t k = 0; k < *shards; ++k) {
-      SalvageLogReport log;
-      const std::string path = dir + "/" + ShardWalFile(k);
-      ScanOneLog(env, path, options.validate_shard_record, report, log);
-      if (!log.present) {
-        // Recovery tolerates a missing shard WAL — its batches become the
-        // first global gap and everything beyond is dropped as provably
-        // unacknowledged — but the operator should know the file is gone.
-        report.findings.push_back(SalvageFinding{
-            path, 0, "missing-log",
-            "shard wal absent; committed batches homed here (if any) are "
-            "lost and recovery will cut back to the last gap-free prefix"});
-        Worsen(report.verdict, SalvageVerdict::kTruncatedTail);
-      }
-      Aggregate(report, log);
-      report.logs.push_back(std::move(log));
+    // Every generation of each shard WAL, then of the coordinator log:
+    // the files and the order recovery reads. A log with no generation at
+    // all is scanned (and reported) under its generation-0 name.
+    TTRA_ASSIGN_OR_RETURN(std::vector<ShardedLogName> names,
+                          ListShardedLogs(*env, dir, *shards));
+    std::vector<std::vector<std::string>> files(*shards + 1);
+    for (const ShardedLogName& name : names) {
+      files[name.coordinator ? *shards : name.shard].push_back(name.file);
     }
-    {
-      SalvageLogReport log;
-      ScanOneLog(env, dir + "/" + kCoordinatorLogFile,
-                 options.validate_shard_record, report, log);
-      Aggregate(report, log);
-      report.logs.push_back(std::move(log));
+    for (uint32_t k = 0; k <= *shards; ++k) {
+      const bool coordinator = k == *shards;
+      if (files[k].empty()) {
+        files[k].push_back(coordinator ? CoordinatorLogFile()
+                                       : ShardWalFile(k));
+      }
+      for (const std::string& file : files[k]) {
+        SalvageLogReport log;
+        const std::string path = dir + "/" + file;
+        ScanOneLog(env, path, options.validate_shard_record, report, log);
+        if (!log.present && !coordinator) {
+          // Recovery tolerates a missing shard WAL — its batches become
+          // the first global gap and everything beyond is dropped as
+          // provably unacknowledged — but the operator should know the
+          // file is gone.
+          report.findings.push_back(SalvageFinding{
+              path, 0, "missing-log",
+              "shard wal absent; committed batches homed here (if any) "
+              "are lost and recovery will cut back to the last gap-free "
+              "prefix"});
+          Worsen(report.verdict, SalvageVerdict::kTruncatedTail);
+        }
+        Aggregate(report, log);
+        report.logs.push_back(std::move(log));
+      }
     }
   } else {
     SalvageLogReport log;
@@ -407,8 +421,8 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
   } else if (report.sharded) {
     // Cutting the manifest back past a COMMITTED record is safe in the
     // single-writer layout (its retained WAL re-derives the difference)
-    // but fatal in the sharded one: the logs were truncated when those
-    // records committed, so the cut-off coverage exists nowhere else.
+    // but fatal in the sharded one: the log generations those records
+    // covered were deleted, so the cut-off coverage exists nowhere else.
     for (const SalvageFinding& f : report.findings) {
       if (f.file != seg_manifest ||
           (f.cause != "invalid-record" && f.cause != "stranded-records")) {
@@ -417,7 +431,7 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
       report.findings.push_back(SalvageFinding{
           seg_manifest, f.offset, "no-rebuild-base",
           "manifest records behind the damage are the only coverage of "
-          "the truncated sharded logs"});
+          "the deleted sharded log generations"});
       Worsen(report.verdict, SalvageVerdict::kUnrecoverable);
       break;
     }
@@ -436,11 +450,11 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
 
   if (report.compact_state_damaged) {
     // Quarantining the compact state is survivable only when the WAL can
-    // rebuild it from the empty database. Sharded layouts truncate their
-    // logs at every checkpoint, so the chain back to empty is gone; the
-    // single-writer layout retains its WAL across checkpoints (only an
-    // explicit storage compaction truncates it), so the proof is simply
-    // that the first record starts at transaction 0.
+    // rebuild it from the empty database. Sharded layouts delete their
+    // log generations at every checkpoint, so the chain back to empty is
+    // gone; the single-writer layout retains its WAL across checkpoints
+    // (only an explicit storage compaction truncates it), so the proof is
+    // simply that the first record starts at transaction 0.
     bool recoverable = layout_ok && layout.db_txn == 0;
     if (!recoverable && !report.sharded && have_first_wal_record &&
         options.wal_record_pre_txn) {
@@ -452,8 +466,9 @@ Result<SalvageReport> ScanStorage(Env* env, const std::string& dir,
       report.findings.push_back(SalvageFinding{
           seg_manifest, 0, "no-rebuild-base",
           report.sharded
-              ? "compact state damaged and sharded logs are truncated at "
-                "every checkpoint; no path back to the empty database"
+              ? "compact state damaged and sharded log generations are "
+                "deleted at every checkpoint; no path back to the empty "
+                "database"
               : "compact state damaged and the wal does not start at "
                 "transaction 0 (truncated by a storage compaction); "
                 "replay cannot rebuild the acknowledged prefix"});

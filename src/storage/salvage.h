@@ -17,7 +17,8 @@ namespace ttra {
 /// bytes (nothing is ever deleted, an operator can always reconstruct what
 /// was cut) and truncates each WAL to its last valid prefix so recovery
 /// succeeds. Sharded directories (MANIFEST present) are scanned log by
-/// log: every shard WAL plus the coordinator log, with per-log findings —
+/// log: every generation of every shard WAL and of the coordinator log,
+/// with per-log findings —
 /// cutting one shard's torn tail is safe because recovery drops every
 /// batch beyond the first global gap (all provably unacknowledged),
 /// leaving a consistent global prefix.
@@ -80,8 +81,8 @@ struct SalvageOptions {
       wal_record_pre_txn;
 };
 
-/// Per-log detail of a sharded scan (one entry per shard WAL, plus one for
-/// the coordinator log).
+/// Per-log detail of a sharded scan (one entry per generation of each
+/// shard WAL, then of the coordinator log).
 struct SalvageLogReport {
   std::string file;  ///< path of the log
   bool present = false;
@@ -101,8 +102,8 @@ struct SalvageReport {
 
   bool wal_present = false;
   /// Aggregates. Single-writer layout: the one wal.log. Sharded layout:
-  /// summed over every shard WAL and the coordinator log (per-log detail
-  /// in `logs`).
+  /// summed over every generation of every shard WAL and the coordinator
+  /// log (per-log detail in `logs`).
   uint64_t wal_size = 0;
   /// End of the salvageable prefix: header + every record that is both
   /// frame-intact and semantically valid. Repair truncates here.

@@ -116,6 +116,11 @@ Status WalWriter::AddRecords(const std::vector<std::string>& payloads) {
   return Status::Ok();
 }
 
+void WalWriter::SwitchTo(const WalWriter& next) {
+  path_ = next.path_;
+  good_size_ = next.good_size_;
+}
+
 Status WalWriter::Sync() {
   TTRA_RETURN_IF_ERROR(env_->Sync(path_));
   stats_.syncs += 1;

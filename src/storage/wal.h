@@ -50,6 +50,11 @@ class WalWriter {
   /// Durably flushes all appended records.
   [[nodiscard]] Status Sync();
 
+  /// Log rotation: from now on this writer appends to `next`'s log, which
+  /// `next` has just Create()d; the stats carry on. No I/O, so a caller
+  /// may switch while holding a lock that writers wait on.
+  void SwitchTo(const WalWriter& next);
+
   /// Byte size of the log through the last frame this writer successfully
   /// appended — the known-good boundary ResetTail() cuts back to.
   uint64_t good_size() const { return good_size_; }

@@ -132,6 +132,38 @@ TEST_P(CrashRecoveryTest, EveryFaultPointWithAutoCheckpoint) {
   SweepEveryEngine(GetParam(), options);
 }
 
+// A checkpoint's own protocol — create the next log generation, switch
+// to it, write the image, delete the retired generation — crashed at every
+// op, with commits on both sides, on Sharded(1) and Sharded(3). The sweep
+// covers every op of the run, so each window (a checkpoint, a storage
+// compaction, a second checkpoint) is crashed at each of its ops.
+TEST_P(CrashRecoveryTest, EveryFaultPointOfTheCheckpointProtocol) {
+  const Program steps = Workload();
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);
+  oracle::Schedule schedule(steps.size(), oracle::Action::kNone);
+  schedule[2] = oracle::Action::kCheckpoint;
+  schedule[4] = oracle::Action::kCompactStorage;
+  schedule[6] = oracle::Action::kCheckpoint;
+  const ShardedOptions options;
+  // Also under the strict POSIX rule for directory entries: the new
+  // generations' creates and the old ones' removes survive a crash only
+  // once the directory is synced.
+  for (const bool require_dir_sync : {false, true}) {
+    for (const oracle::Engine& engine : oracle::Engines()) {
+      if (engine.kind != oracle::EngineKind::kSharded) continue;
+      uint64_t total_ops = 0;
+      oracle::RunCrashPoint(engine, 0, GetParam(), options, steps, oracle,
+                            &total_ops, schedule, require_dir_sync);
+      ASSERT_GT(total_ops, 0u);
+      for (uint64_t n = 1; n <= total_ops; ++n) {
+        oracle::RunCrashPoint(engine, n, GetParam(), options, steps, oracle,
+                              nullptr, schedule, require_dir_sync);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(CrashRecoveryTest, FaultDuringRecoveryItselfIsRetryable) {
   const Program steps = Workload();
   const oracle::OracleRun oracle = oracle::RunSerialOracle(steps);

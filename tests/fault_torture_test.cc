@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "oracle_harness.h"
+#include "storage/layout.h"
 #include "storage/salvage.h"
 #include "util/random.h"
 
@@ -154,19 +155,32 @@ void RunSeed(uint64_t seed, bool checkpoints) {
   env.Crash();
 
   // Odd seeds: bit rot strikes the surviving WAL body after the crash —
-  // the schedule `fsck --repair` exists for.
-  const std::string wal_path = "t/" + ShardWalFile(0);
-  bool rotted = false;
-  if (seed % 2 == 1 && env.Exists(wal_path)) {
-    std::string image = *env.Read(wal_path);
-    if (image.size() > 9) {
-      const uint64_t at = 9 + rng.Uniform(image.size() - 9);
-      image[at] ^= static_cast<char>(1u << rng.Uniform(8));
-      ASSERT_TRUE(env.Truncate(wal_path).ok());
-      ASSERT_TRUE(env.Append(wal_path, image).ok());
-      ASSERT_TRUE(env.Sync(wal_path).ok());
-      rotted = true;
+  // the schedule `fsck --repair` exists for. It strikes the newest shard
+  // log generation with a body: a checkpoint switches the logs and deletes
+  // the older ones, and one that failed before its switch leaves the next
+  // generation bare beside the live log.
+  std::string wal_path;
+  std::string image;
+  {
+    auto logs = ListShardedLogs(env, "t", 1);
+    ASSERT_TRUE(logs.ok()) << logs.status();
+    for (const ShardedLogName& log : *logs) {
+      if (log.coordinator) continue;
+      std::string data = *env.Read("t/" + log.file);
+      if (data.size() > 9) {
+        wal_path = "t/" + log.file;
+        image = std::move(data);
+      }
     }
+  }
+  bool rotted = false;
+  if (seed % 2 == 1 && !wal_path.empty()) {
+    const uint64_t at = 9 + rng.Uniform(image.size() - 9);
+    image[at] ^= static_cast<char>(1u << rng.Uniform(8));
+    ASSERT_TRUE(env.Truncate(wal_path).ok());
+    ASSERT_TRUE(env.Append(wal_path, image).ok());
+    ASSERT_TRUE(env.Sync(wal_path).ok());
+    rotted = true;
   }
 
   auto scan = ScanStorage(&env, "t", MakeSalvageOptions());

@@ -250,6 +250,31 @@ TEST(ProtocolScenarioTest, ShardedScenarioSmoke) {
   EXPECT_GE(result.schedules, 1u);
 }
 
+TEST(ProtocolScenarioTest, CheckpointScenarioSmoke) {
+  ExploreOptions options;
+  options.preemption_bound = 1;
+  options.max_schedules = 40;
+  ExploreResult result =
+      Explore(ShardedCheckpointScenario(/*fail_rotation=*/false).run, options);
+  EXPECT_FALSE(result.failed) << FormatFailure(result);
+  EXPECT_GE(result.schedules, 1u);
+}
+
+// A batch a writer dequeued while a checkpoint fails its generation
+// switch must not reach any log once the executor is degraded: degraded
+// mode is re-checked after the writer takes the checkpoint gate, so the
+// sentence commits (it got in first) or is refused read-only — never a
+// raw write error from a log the checkpoint left unusable. Exhaustive at
+// preemption bound 2.
+TEST(ProtocolScenarioTest, BatchRacingAFailedCheckpointNeverReachesALog) {
+  ExploreOptions options;
+  options.preemption_bound = 2;
+  ExploreResult result =
+      Explore(ShardedCheckpointScenario(/*fail_rotation=*/true).run, options);
+  EXPECT_FALSE(result.failed) << FormatFailure(result);
+  EXPECT_TRUE(result.exhausted);
+}
+
 TEST(ProtocolScenarioTest, SeededWatermarkBugIsCaughtWithReplayableTrace) {
   Scenario seeded = ShardedCrossShardScenario(/*seeded_bug=*/true);
   ExploreOptions options;

@@ -116,11 +116,14 @@ bool IsIoFailure(const Status& status) {
 void RunCrashPoint(const Engine& engine, uint64_t fault_at,
                    FaultInjectionEnv::FaultMode mode,
                    const ShardedOptions& options, const Program& program,
-                   const OracleRun& oracle, uint64_t* total_ops) {
+                   const OracleRun& oracle, uint64_t* total_ops,
+                   const Schedule& schedule, bool require_dir_sync) {
   SCOPED_TRACE(engine.Name() + ": fault at op " + std::to_string(fault_at) +
                (mode == FaultInjectionEnv::FaultMode::kFailOp ? " (fail)"
-                                                              : " (torn)"));
+                                                              : " (torn)") +
+               (require_dir_sync ? ", strict directories" : ""));
   FaultInjectionEnv env;
+  env.set_require_dir_sync(require_dir_sync);
   // `acked` = number of leading steps whose submit returned a non-I/O
   // status: those sentences are durably logged (kAlways policy) and MUST
   // be reflected by recovery. Command-level errors still count — the
@@ -130,10 +133,16 @@ void RunCrashPoint(const Engine& engine, uint64_t fault_at,
     EngineUnderTest live(engine, &env, "walled-garden", options);
     ASSERT_TRUE(live.Open().ok());
     if (fault_at != 0) env.InjectFault(fault_at, mode);
-    for (const Step& step : program) {
-      const Result<TransactionNumber> result = live.Submit(step);
+    for (size_t i = 0; i < program.size(); ++i) {
+      const Result<TransactionNumber> result = live.Submit(program[i]);
       if (!result.ok() && IsIoFailure(result.status())) break;  // "crash"
       ++acked;
+      const Action action = schedule.empty() ? Action::kNone : schedule[i];
+      ASSERT_NE(action, Action::kReopen);
+      if (action == Action::kCheckpoint && !live.Checkpoint().ok()) break;
+      if (action == Action::kCompactStorage && !live.CompactStorage().ok()) {
+        break;
+      }
     }
     if (total_ops != nullptr) *total_ops = env.op_count();
   }
@@ -278,27 +287,40 @@ void ExpectColdStoresMatch(Env* env, const std::string& dir,
 
 void ReadCommittedOrder(const Env& env, const std::string& dir,
                         size_t shards, CommittedOrder& order) {
-  for (size_t k = 0; k < shards; ++k) {
-    const std::string path = dir + "/" + ShardWalFile(k);
-    if (!env.Exists(path)) continue;
+  Result<std::vector<ShardedLogName>> logs =
+      ListShardedLogs(env, dir, shards);
+  ASSERT_TRUE(logs.ok()) << logs.status();
+  // Sequence numbers carry on across generations, so prepares keyed by
+  // (shard, seq) pair with their commits across every file.
+  std::map<std::pair<uint64_t, uint64_t>, ShardRecord> prepares;
+  for (const ShardedLogName& log : *logs) {
+    const std::string path = dir + "/" + log.file;
     Result<WalReadResult> wal = ReadWal(env, path);
     ASSERT_TRUE(wal.ok()) << wal.status();
-    order.torn_tail |= wal->torn_tail;
-    std::map<uint64_t, ShardRecord> prepares;
+    if (!log.coordinator) order.torn_tail |= wal->torn_tail;
     for (const std::string& payload : wal->records) {
       Result<ShardRecord> record = DecodeShardRecord(payload);
       ASSERT_TRUE(record.ok()) << record.status();
+      if (log.coordinator) {
+        ASSERT_EQ(record->kind, ShardRecordKind::kCoordCommit);
+        ASSERT_TRUE(order.coordinator
+                        .emplace(std::make_pair(record->shard, record->seq),
+                                 std::move(*record))
+                        .second);
+        continue;
+      }
+      const std::pair<uint64_t, uint64_t> key(log.shard, record->seq);
       switch (record->kind) {
         case ShardRecordKind::kPrepare:
-          ASSERT_TRUE(prepares.emplace(record->seq, std::move(*record)).second)
+          ASSERT_TRUE(prepares.emplace(key, std::move(*record)).second)
               << "duplicate prepare in " << path;
           break;
         case ShardRecordKind::kCommit: {
-          const auto prepared = prepares.find(record->seq);
+          const auto prepared = prepares.find(key);
           ASSERT_NE(prepared, prepares.end())
               << "commit without prepare in " << path;
           order.batches.push_back(CommittedBatch{
-              k, record->seq, record->base_txn, record->post_txn,
+              log.shard, record->seq, record->base_txn, record->post_txn,
               std::move(prepared->second.entries)});
           break;
         }
@@ -307,20 +329,6 @@ void ReadCommittedOrder(const Env& env, const std::string& dir,
         case ShardRecordKind::kCoordCommit:
           FAIL() << "coordinator record in shard wal " << path;
       }
-    }
-  }
-  const std::string coord_path = dir + "/" + kCoordinatorLogFile;
-  if (env.Exists(coord_path)) {
-    Result<WalReadResult> wal = ReadWal(env, coord_path);
-    ASSERT_TRUE(wal.ok()) << wal.status();
-    for (const std::string& payload : wal->records) {
-      Result<ShardRecord> record = DecodeShardRecord(payload);
-      ASSERT_TRUE(record.ok()) << record.status();
-      ASSERT_EQ(record->kind, ShardRecordKind::kCoordCommit);
-      ASSERT_TRUE(order.coordinator
-                      .emplace(std::make_pair(record->shard, record->seq),
-                               std::move(*record))
-                      .second);
     }
   }
   std::sort(order.batches.begin(), order.batches.end(),

@@ -155,10 +155,16 @@ bool IsIoFailure(const Status& status);
 /// a new engine. Checks the recovered state is a prefix holding every
 /// acknowledged step and that the recovered engine numbers new
 /// transactions above it. `total_ops` receives the ops of the live phase.
+/// A non-empty `schedule` runs its kCheckpoint / kCompactStorage actions
+/// after their steps (kReopen is not supported); a failing one is the
+/// crash as well. `require_dir_sync` makes the crash undo every create
+/// and remove no directory sync recorded (InMemoryEnv::set_require_dir_sync).
 void RunCrashPoint(const Engine& engine, uint64_t fault_at,
                    FaultInjectionEnv::FaultMode mode,
                    const ShardedOptions& options, const Program& program,
-                   const OracleRun& oracle, uint64_t* total_ops = nullptr);
+                   const OracleRun& oracle, uint64_t* total_ops = nullptr,
+                   const Schedule& schedule = {},
+                   bool require_dir_sync = false);
 
 // --- Checkers ----------------------------------------------------------------
 
@@ -219,9 +225,10 @@ struct CommittedOrder {
   bool torn_tail = false;  ///< some shard WAL ends in a torn frame
 };
 
-/// Reads shard-<k>.wal for k < shards plus coordinator.log. Fails the test
-/// on an undecodable record, a duplicate prepare, a commit without its
-/// prepare or a coordinator record inside a shard WAL.
+/// Reads every generation of shard-<k>.wal for k < shards and of
+/// coordinator.log. Fails the test on an undecodable record, a duplicate
+/// prepare, a commit without its prepare or a coordinator record inside a
+/// shard WAL.
 void ReadCommittedOrder(const Env& env, const std::string& dir,
                         size_t shards, CommittedOrder& order);
 

@@ -374,6 +374,80 @@ TEST(ShardedSalvageTest, CleanShardedDirectoryScansCleanPerLog) {
   EXPECT_NE(json.find("\"shards\": 2"), std::string::npos);
 }
 
+/// InMemoryEnv whose Remove fails while `fail_removes` is set.
+class NoRemoveEnv : public InMemoryEnv {
+ public:
+  bool fail_removes = false;
+  Status Remove(const std::string& path) override {
+    if (fail_removes) return IoError("injected: cannot remove " + path);
+    return InMemoryEnv::Remove(path);
+  }
+};
+
+TEST(ShardedSalvageTest, LeftoverCoveredGenerationIsCleanAndRecovers) {
+  // What a crash between a checkpoint's durable image and the delete of
+  // the generation it covers leaves: generation 0, whose records the
+  // checkpoint covers, beside generation 1, which holds later commits.
+  // fsck must call that clean; recovery skips the covered records,
+  // replays the rest and ends with one generation per log.
+  const std::string on0 = NameOnShard(0, 2);
+  const std::string on1 = NameOnShard(1, 2);
+  oracle::Program program;
+  program.push_back({{DefineRelationCmd{on0, RelationType::kRollback,
+                                        OneIntSchema()}}});
+  program.push_back({{DefineRelationCmd{on1, RelationType::kRollback,
+                                        OneIntSchema()}}});
+  program.push_back({ModifyOf(on0, 0)});
+  program.push_back({ModifyOf(on1, 1)});  // the checkpoint covers up to here
+  program.push_back({ModifyOf(on0, 2)});
+  program.push_back({ModifyOf(on1, 3)});
+  const oracle::OracleRun oracle = oracle::RunSerialOracle(program);
+
+  NoRemoveEnv env;
+  {
+    ShardedExecutor exec(&env, "d", oracle::FastOptions(2));
+    ASSERT_TRUE(exec.Start().ok());
+    for (size_t i = 0; i < program.size(); ++i) {
+      ASSERT_TRUE(exec.Submit(program[i].sentence).ok()) << i;
+      if (i == 3) {
+        env.fail_removes = true;
+        EXPECT_EQ(exec.Checkpoint().code(), ErrorCode::kIoError);
+        env.fail_removes = false;
+        EXPECT_TRUE(exec.healthy()) << "the image is durable; only the "
+                                       "delete failed";
+      }
+    }
+    exec.Stop();
+  }
+  env.DropUnsynced();
+  auto logs = ListShardedLogs(env, "d", 2);
+  ASSERT_TRUE(logs.ok()) << logs.status();
+  ASSERT_EQ(logs->size(), 6u);  // generations 0 and 1 of three logs
+
+  auto scan = ScanStorage(&env, "d", MakeSalvageOptions());
+  ASSERT_TRUE(scan.ok()) << scan.status();
+  EXPECT_EQ(scan->verdict, SalvageVerdict::kClean);
+  EXPECT_TRUE(scan->findings.empty());
+  EXPECT_EQ(SalvageExitCode(*scan), 0);
+  ASSERT_EQ(scan->logs.size(), 6u);
+  EXPECT_EQ(scan->logs[0].file, "d/" + ShardWalFile(0));
+  EXPECT_EQ(scan->logs[1].file, "d/" + ShardWalFile(0, 1));
+  EXPECT_EQ(scan->logs[5].file, "d/" + CoordinatorLogFile(1));
+
+  ShardedExecutor recovered(&env, "d", oracle::FastOptions(2));
+  ASSERT_TRUE(recovered.Start().ok());
+  EXPECT_EQ(EncodeDatabase(recovered.Snapshot()), oracle.prefixes.back());
+  EXPECT_EQ(recovered.last_recovery().replayed_batches, 2u);
+  EXPECT_EQ(recovered.last_recovery().dropped_in_doubt, 0u);
+  logs = ListShardedLogs(env, "d", 2);
+  ASSERT_TRUE(logs.ok()) << logs.status();
+  ASSERT_EQ(logs->size(), 3u);
+  for (const ShardedLogName& log : *logs) {
+    EXPECT_EQ(log.generation, 0u) << log.file;
+  }
+  recovered.Stop();
+}
+
 TEST(ShardedSalvageTest, MissingShardWalIsFlaggedAndRecreatedByRepair) {
   InMemoryEnv env;
   BuildShardedStore(&env, "d");

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "oracle_harness.h"
@@ -55,8 +60,32 @@ TEST(ShardLayoutTest, StartCreatesManifestWalsAndCoordinator) {
   for (size_t k = 0; k < 3; ++k) {
     EXPECT_TRUE(env.Exists("db/" + ShardWalFile(k))) << k;
   }
-  EXPECT_TRUE(env.Exists(std::string("db/") + kCoordinatorLogFile));
+  EXPECT_TRUE(env.Exists("db/" + CoordinatorLogFile()));
   exec.Stop();
+}
+
+TEST(ShardLayoutTest, LogNamesParseBackAndEverythingElseIsNoLog) {
+  for (uint64_t generation : {0u, 1u, 17u}) {
+    auto shard = ParseShardedLogName(ShardWalFile(3, generation));
+    ASSERT_TRUE(shard.has_value()) << generation;
+    EXPECT_FALSE(shard->coordinator);
+    EXPECT_EQ(shard->shard, 3u);
+    EXPECT_EQ(shard->generation, generation);
+    auto coordinator = ParseShardedLogName(CoordinatorLogFile(generation));
+    ASSERT_TRUE(coordinator.has_value()) << generation;
+    EXPECT_TRUE(coordinator->coordinator);
+    EXPECT_EQ(coordinator->generation, generation);
+  }
+  EXPECT_EQ(ShardWalFile(2, 5), "shard-2.5.wal");
+  EXPECT_EQ(CoordinatorLogFile(5), "coordinator.5.log");
+  for (const char* stray :
+       {"shard-1.wal.quarantine", "shard-01.wal", "shard-1.0.wal",
+        "shard-1.wal.tmp", "shard-.wal", "shard-1.x.wal", "coordinator.0.log",
+        "coordinator.log.quarantine", "coordinators.log", "wal.log",
+        "MANIFEST", "segments.manifest", "shard-1024.wal",
+        "shard-1.99999999999999999999.wal"}) {
+    EXPECT_FALSE(ParseShardedLogName(stray).has_value()) << stray;
+  }
 }
 
 TEST(ShardLayoutTest, ManifestShardCountIsAuthoritativeOnReopen) {
@@ -404,19 +433,22 @@ TEST(ShardedExecutorTest, CheckpointTruncatesAllShardLogs) {
             .ok());
   }
   ASSERT_TRUE(exec.Checkpoint().ok());
-  // All logs truncated to a bare header: recovery now starts from the
-  // checkpoint alone.
-  for (size_t k = 0; k < 2; ++k) {
-    auto wal = ReadWal(env, "db/" + ShardWalFile(k));
+  // Every log switched to generation 1, a bare header, and generation 0 is
+  // gone: recovery now starts from the checkpoint alone.
+  auto logs = ListShardedLogs(env, "db", 2);
+  ASSERT_TRUE(logs.ok()) << logs.status();
+  ASSERT_EQ(logs->size(), 3u);
+  for (const ShardedLogName& log : *logs) {
+    EXPECT_EQ(log.generation, 1u) << log.file;
+    auto wal = ReadWal(env, "db/" + log.file);
     ASSERT_TRUE(wal.ok());
-    EXPECT_TRUE(wal->records.empty()) << "shard " << k;
+    EXPECT_TRUE(wal->records.empty()) << log.file;
   }
-  auto coordinator = ReadWal(env, std::string("db/") + kCoordinatorLogFile);
-  ASSERT_TRUE(coordinator.ok());
-  EXPECT_TRUE(coordinator->records.empty());
+  EXPECT_TRUE(env.Exists("db/" + ShardWalFile(1, 1)));
+  EXPECT_TRUE(env.Exists("db/" + CoordinatorLogFile(1)));
 
-  // Post-checkpoint commits (fresh sequence space) chain correctly across
-  // a restart.
+  // Post-checkpoint commits (the sequence space carries on in the new
+  // generation) chain correctly across a restart.
   ASSERT_TRUE(
       exec.Submit(Command{ModifySnapshotCmd{on0, EmpState({{"z", 9}})}}).ok());
   const std::string before = EncodeDatabase(exec.Snapshot());
@@ -426,6 +458,163 @@ TEST(ShardedExecutorTest, CheckpointTruncatesAllShardLogs) {
   ASSERT_TRUE(reopened.Start().ok());
   EXPECT_EQ(reopened.transaction_number(), txn);
   EXPECT_EQ(reopened.last_recovery().checkpoint_txn, txn - 1);
+  EXPECT_EQ(EncodeDatabase(reopened.Snapshot()), before);
+  reopened.Stop();
+}
+
+// Under the strict POSIX rule a created or removed file's directory entry
+// is durable only once the directory is synced. A commit acknowledged in
+// a new generation must survive a crash, and a generation that a
+// checkpoint or Start() removed must stay removed: beside logs whose
+// sequence numbers restarted, it would collide on (shard, seq).
+TEST(ShardedExecutorTest, GenerationsSurviveACrashUnderStrictDirectories) {
+  InMemoryEnv env;
+  env.set_require_dir_sync(true);
+  const ShardedOptions options = FastOptions(2);
+  const std::vector<std::string> names = {NameOnShard(0, 2),
+                                          NameOnShard(1, 2)};
+  const auto modify = [&](ShardedExecutor& exec, int64_t value) {
+    for (const std::string& name : names) {
+      ASSERT_TRUE(exec.Submit(Command{ModifySnapshotCmd{
+                                  name, EmpState({{"v", value}})}})
+                      .ok());
+    }
+  };
+  std::string before;
+  {
+    ShardedExecutor exec(&env, "db", options);
+    ASSERT_TRUE(exec.Start().ok());
+    for (const std::string& name : names) {
+      ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                          name, RelationType::kRollback, EmpSchema()}})
+                      .ok());
+    }
+    ASSERT_TRUE(exec.Checkpoint().ok());
+    modify(exec, 1);
+    // This image writes no new segment file, so only the switch's own
+    // directory sync records generation 2.
+    ASSERT_TRUE(exec.Checkpoint().ok());
+    modify(exec, 2);  // acknowledged in generation 2 only
+    before = EncodeDatabase(exec.Snapshot());
+    exec.Stop();
+  }
+  env.DropUnsynced();
+  {
+    ShardedExecutor exec(&env, "db", options);
+    const Status started = exec.Start();
+    ASSERT_TRUE(started.ok()) << started;
+    EXPECT_EQ(EncodeDatabase(exec.Snapshot()), before);
+    exec.Stop();  // Start() removed generation 2 and emptied generation 0
+  }
+  {
+    // Empty logs: the sequences restart, and three commits per shard
+    // reach the numbers generation 2 held.
+    ShardedExecutor exec(&env, "db", options);
+    ASSERT_TRUE(exec.Start().ok());
+    for (int64_t value = 3; value <= 5; ++value) modify(exec, value);
+    before = EncodeDatabase(exec.Snapshot());
+    exec.Stop();
+  }
+  env.DropUnsynced();
+  ShardedExecutor exec(&env, "db", options);
+  const Status started = exec.Start();
+  ASSERT_TRUE(started.ok()) << started;
+  EXPECT_EQ(EncodeDatabase(exec.Snapshot()), before);
+  EXPECT_EQ(exec.transaction_number(), 12u);
+  exec.Stop();
+}
+
+/// InMemoryEnv that, once armed, parks the first append to the checkpoint
+/// image (a segment file or the segment manifest) until Release().
+class ParkImageEnv : public InMemoryEnv {
+ public:
+  void Arm() { armed_ = true; }
+  void WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(park_mutex_);
+    park_cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(park_mutex_);
+    released_ = true;
+    park_cv_.notify_all();
+  }
+
+  Status Append(const std::string& path, std::string_view data) override {
+    const std::string_view name =
+        std::string_view(path).substr(path.rfind('/') + 1);
+    if ((IsSegmentFileName(name) || name == kCompactManifestFile) &&
+        armed_.exchange(false)) {
+      std::unique_lock<std::mutex> lock(park_mutex_);
+      parked_ = true;
+      park_cv_.notify_all();
+      park_cv_.wait(lock, [this] { return released_; });
+    }
+    return InMemoryEnv::Append(path, data);
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex park_mutex_;
+  std::condition_variable park_cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+TEST(ShardedExecutorTest, CommitsProceedWhileTheImageIsWrittenAndStopWaits) {
+  ParkImageEnv env;
+  ShardedOptions options = FastOptions(2);
+  ShardedExecutor exec(&env, "db", options);
+  ASSERT_TRUE(exec.Start().ok());
+  const std::string on0 = NameOnShard(0, 2);
+  const std::string on1 = NameOnShard(1, 2);
+  for (const std::string& name : {on0, on1}) {
+    ASSERT_TRUE(exec.Submit(Command{DefineRelationCmd{
+                        name, RelationType::kRollback, EmpSchema()}})
+                    .ok());
+  }
+
+  // The checkpoint switches generations, then parks in its image write.
+  env.Arm();
+  std::future<Status> checkpoint =
+      std::async(std::launch::async, [&exec] { return exec.Checkpoint(); });
+  env.WaitUntilParked();
+
+  // Both shards keep committing, into the new generation.
+  for (const std::string& name : {on0, on1}) {
+    ASSERT_TRUE(
+        exec.Submit(Command{ModifySnapshotCmd{name, EmpState({{"a", 1}})}})
+            .ok());
+  }
+  const std::string before = EncodeDatabase(exec.Snapshot());
+  const TransactionNumber txn = exec.transaction_number();
+  EXPECT_TRUE(env.Exists("db/" + ShardWalFile(0, 1)));
+  EXPECT_TRUE(env.Exists("db/" + ShardWalFile(0)));  // not yet covered
+
+  // Stop() must wait for the image write: only then are the generations
+  // it covers deleted, and nothing may be left half-done on disk.
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    exec.Stop();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(stopped.load()) << "Stop() returned during an image write";
+  env.Release();
+  stopper.join();
+  EXPECT_TRUE(checkpoint.get().ok());
+
+  auto logs = ListShardedLogs(env, "db", 2);
+  ASSERT_TRUE(logs.ok()) << logs.status();
+  ASSERT_EQ(logs->size(), 3u);
+  for (const ShardedLogName& log : *logs) {
+    EXPECT_EQ(log.generation, 1u) << log.file;
+  }
+
+  ShardedExecutor reopened(&env, "db", options);
+  ASSERT_TRUE(reopened.Start().ok());
+  EXPECT_EQ(reopened.transaction_number(), txn);
+  EXPECT_EQ(reopened.last_recovery().checkpoint_txn, 2u);
+  EXPECT_EQ(reopened.last_recovery().replayed_batches, 2u);
   EXPECT_EQ(EncodeDatabase(reopened.Snapshot()), before);
   reopened.Stop();
 }

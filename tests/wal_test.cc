@@ -51,6 +51,8 @@ TEST(PosixEnvTest, ListAndCreateDir) {
   EXPECT_EQ(*names, (std::vector<std::string>{"a.txt", "b.txt"}));
   ASSERT_TRUE(env->Remove(dir + "/a.txt").ok());
   ASSERT_TRUE(env->Remove(dir + "/b.txt").ok());
+  EXPECT_TRUE(env->SyncDir(dir).ok());
+  EXPECT_EQ(env->SyncDir(dir + "/missing").code(), ErrorCode::kIoError);
 }
 
 TEST(InMemoryEnvTest, DropUnsyncedLosesExactlyTheUnsyncedSuffix) {
@@ -73,6 +75,44 @@ TEST(InMemoryEnvTest, RenameIsDurable) {
   env.DropUnsynced();
   EXPECT_FALSE(env.Exists("tmp"));
   EXPECT_EQ(*env.Read("final"), "payload");
+}
+
+TEST(InMemoryEnvTest, StrictDirectoriesUndoUnsyncedCreatesAndRemoves) {
+  InMemoryEnv env;
+  env.set_require_dir_sync(true);
+  ASSERT_TRUE(env.Append("d/kept", "old").ok());
+  ASSERT_TRUE(env.Sync("d/kept").ok());
+  ASSERT_TRUE(env.SyncDir("d").ok());
+  // A synced file whose entry no directory sync recorded, and a removal
+  // no directory sync recorded: a crash undoes both.
+  ASSERT_TRUE(env.Append("d/new", "synced").ok());
+  ASSERT_TRUE(env.Sync("d/new").ok());
+  ASSERT_TRUE(env.Remove("d/kept").ok());
+  ASSERT_TRUE(env.Append("other/f", "x").ok());
+  ASSERT_TRUE(env.Sync("other/f").ok());
+  ASSERT_TRUE(env.SyncDir("other").ok());  // not d's entries
+  env.DropUnsynced();
+  EXPECT_FALSE(env.Exists("d/new"));
+  EXPECT_EQ(*env.Read("d/kept"), "old");
+  EXPECT_EQ(*env.Read("other/f"), "x");
+
+  // Once the directory is synced, both stick.
+  ASSERT_TRUE(env.Append("d/new", "synced").ok());
+  ASSERT_TRUE(env.Sync("d/new").ok());
+  ASSERT_TRUE(env.Remove("d/kept").ok());
+  ASSERT_TRUE(env.SyncDir("d").ok());
+  env.DropUnsynced();
+  EXPECT_EQ(*env.Read("d/new"), "synced");
+  EXPECT_FALSE(env.Exists("d/kept"));
+
+  // A rename syncs its directory, recording the other entries with it.
+  ASSERT_TRUE(env.Append("d/seg", "s").ok());
+  ASSERT_TRUE(env.Sync("d/seg").ok());
+  ASSERT_TRUE(env.Append("d/tmp", "m").ok());
+  ASSERT_TRUE(env.Rename("d/tmp", "d/manifest").ok());
+  env.DropUnsynced();
+  EXPECT_EQ(*env.Read("d/seg"), "s");
+  EXPECT_EQ(*env.Read("d/manifest"), "m");
 }
 
 TEST(FaultInjectionEnvTest, FailsTheNthOperation) {
@@ -104,7 +144,8 @@ TEST(FaultInjectionEnvTest, CountsAllMutatingOps) {
   ASSERT_TRUE(env.Sync("f").ok());
   ASSERT_TRUE(env.Rename("f", "g").ok());
   ASSERT_TRUE(env.Remove("g").ok());
-  EXPECT_EQ(env.op_count(), 6u);
+  ASSERT_TRUE(env.SyncDir(".").ok());
+  EXPECT_EQ(env.op_count(), 7u);
 }
 
 TEST(InMemoryEnvTest, TruncateToCutsTheFileAndCapsSyncedSize) {

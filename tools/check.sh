@@ -208,15 +208,22 @@ if [ "$do_model" -eq 1 ]; then
   #
   # Static: the lock-order analyzer proves the acquires-while-holding
   # graph of the annotated sources acyclic, self-tests its own parser,
-  # must still flag the planted ABBA fixture, and pins the
-  # SerialExecutor -> FindStateCache acquisition order.
+  # must still flag the planted ABBA fixture, and pins two acquisition
+  # orders: SerialExecutor -> FindStateCache, and the sharded executor's
+  # image-writer lock -> checkpoint gate (a checkpoint takes the gate
+  # exclusively, briefly, inside its image lock; no writer holding the
+  # gate may ever wait for an image write).
   if command -v python3 >/dev/null 2>&1; then
     echo "== lockorder self-test"
     python3 tools/lockorder/lockorder.py --self-test
-    echo "== lockorder: src acyclic + pinned SerialExecutor/FindStateCache order"
+    echo "== lockorder: src acyclic + pinned acquisition orders"
     python3 tools/lockorder/lockorder.py src \
       --require-edge SerialExecutor::mutex_ FindStateCache::mutex_ \
-      --forbid-edge FindStateCache::mutex_ SerialExecutor::mutex_
+      --forbid-edge FindStateCache::mutex_ SerialExecutor::mutex_ \
+      --require-edge ShardedExecutor::image_mutex_ \
+                     ShardedExecutor::checkpoint_gate_ \
+      --forbid-edge ShardedExecutor::checkpoint_gate_ \
+                    ShardedExecutor::image_mutex_
     echo "== lockorder: injected cycle fixture (must fail)"
     if python3 tools/lockorder/lockorder.py \
          tools/lockorder/testdata/injected_cycle.cc >/dev/null 2>&1; then

@@ -303,9 +303,10 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
   TTRA_RETURN_IF_ERROR(RefuseLegacyLayout(*env, wal_dir));
   Result<std::vector<std::string>> entries = env->List(wal_dir);
   if (!entries.ok()) return Status::Ok();  // no directory, nothing to reset
-  // Every file a layout owns, and its quarantined remains: the shard WALs
-  // and coordinator log of a sharded directory (whatever its MANIFEST says,
-  // which may be the corrupt part), the single-writer log, the checkpoint
+  // Every file a layout owns, and its quarantined remains: every
+  // generation of the shard WALs and coordinator log of a sharded
+  // directory (whatever its MANIFEST says, which may be the corrupt part),
+  // the single-writer log, the checkpoint
   // manifest chain and every segment file (including generations a
   // damaged manifest no longer references). The MANIFEST goes last, so an
   // interrupted reset still reads as sharded.
@@ -320,8 +321,7 @@ Status ResetWalDir(Env* env, const std::string& wal_dir) {
         name == kWalFile || base == kCompactManifestFile ||
         name == std::string(kCompactManifestFile) + ".tmp" ||
         IsSegmentFileName(base) ||
-        (sharded && (base == kCoordinatorLogFile ||
-                     (base.starts_with("shard-") && base.ends_with(".wal"))));
+        (sharded && ParseShardedLogName(base).has_value());
     if (owned) TTRA_RETURN_IF_ERROR(env->Remove(wal_dir + "/" + name));
   }
   if (sharded) {
@@ -747,8 +747,9 @@ int CmdFsckHelp() {
       "Scans the directory's checkpoint and write-ahead log: every frame\n"
       "is checksum-verified and decoded, and each corrupt record is\n"
       "reported with its byte offset and cause. Sharded directories (a\n"
-      "MANIFEST is present) are scanned log by log: every shard-<k>.wal\n"
-      "plus coordinator.log, with per-log findings. Without --repair\n"
+      "MANIFEST is present) are scanned log by log: every generation of\n"
+      "each shard-<k>.wal and of coordinator.log (shard-<k>.<g>.wal,\n"
+      "coordinator.<g>.log), with per-log findings. Without --repair\n"
       "nothing is modified. With --repair the damaged bytes are moved to\n"
       "<wal>.quarantine and the log is truncated to its last valid prefix\n"
       "so `ttra recover` succeeds; nothing is ever deleted. Repairing one\n"

@@ -25,7 +25,7 @@ from core import build_analyzer
 # same-named method on an unrelated class is not a sink.
 ENV_SINKS = {
     "Append", "Sync", "Truncate", "TruncateTo", "Rename", "Remove",
-    "CreateDir", "Read", "List", "Crash",
+    "SyncDir", "CreateDir", "Read", "List", "Crash",
 }
 # WalWriter forwards to Env; callers serialize it externally, usually by
 # holding exactly the lock this pass is watching.
